@@ -147,7 +147,8 @@ def validate_instance(instance: Instance) -> list:
     counts, feature shapes, cluster membership ranges, budgets, partition
     length, metric and feature-kind compatibility, matrix symmetry and
     nonnegativity with a sampled triangle-inequality test, cosine norms,
-    lambda and quality-function well-formedness.
+    lambda and quality-function well-formedness, including the nonnegative
+    modular weights that monotonicity needs.
     """
     out = []
     n = instance.n
@@ -223,6 +224,12 @@ def validate_instance(instance: Instance) -> list:
             out.append(Violation("schema", "quality.weights", "needs n weights"))
         elif not np.all(np.isfinite(q.weights)):
             out.append(Violation("schema", "quality.weights", "non-finite weight"))
+        elif np.any(q.weights < 0):
+            bad = int(np.flatnonzero(q.weights < 0)[0])
+            out.append(Violation(
+                "quality", "quality.weights",
+                f"monotone quality needs nonnegative weights; "
+                f"weight {bad} is {q.weights[bad]:.9g}"))
     elif q.kind == "coverage":
         if q.covers is None or len(q.covers) != n:
             out.append(Violation("schema", "quality.covers", "needs n cover sets"))

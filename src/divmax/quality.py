@@ -171,6 +171,42 @@ class QualityState:
             return np.where(self.in_sel[ids], 0.0, self.q.weights[ids])
         return np.array([self.marginal(int(v)) for v in ids])
 
+    def swap_delta(self, outs: np.ndarray, inns: np.ndarray) -> np.ndarray:
+        """Matrix of value changes for swapping a selected out for an unselected inn.
+
+        Entry [a, i] equals value(sel - {outs[a]} + {inns[i]}) - value(sel).
+        Entries whose inns[i] is already selected carry no meaning; callers
+        mask them out.
+        """
+        outs = np.asarray(outs, dtype=int)
+        inns = np.asarray(inns, dtype=int)
+        if self.q.kind == "zero":
+            return np.zeros((outs.size, inns.size))
+        if self.q.kind == "modular":
+            w = self.q.weights
+            return w[inns][None, :] - w[outs][:, None]
+        # An item that only outs[a] covers is lost, unless inns[i] covers it too.
+        counts = self._counts
+        owner = {}
+        lost = np.zeros(outs.size)
+        for a, v in enumerate(outs):
+            for item in self.q.covers[v]:
+                if counts.get(item) == 1:
+                    owner[item] = a
+                    lost[a] += 1
+        kept = np.zeros((outs.size, inns.size))
+        gained = np.zeros(inns.size)
+        for i, v in enumerate(inns):
+            g = 0
+            for item in self.q.covers[v]:
+                c = counts.get(item, 0)
+                if c == 0:
+                    g += 1
+                elif c == 1 and item in owner:
+                    kept[owner[item], i] += 1
+            gained[i] = g
+        return gained[None, :] - (lost[:, None] - kept)
+
     def marginal_pair(self, u: int, v: int) -> float:
         if u == v:
             raise ValueError("marginal_pair needs two distinct elements")

@@ -556,6 +556,13 @@ def _local_search(instance: Instance, config: SolverConfig | None,
     sets = init.as_sets()
     budgets = instance.budgets()
     n = instance.n
+    members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
+    # lsg climbs the union's global dispersion and ignores quality.
+    qstate = qual.QualityState(q if use_combined else qual.QualityFunction.zero(), n)
+    scale = lam if use_combined else 1.0
+    for S in sets:
+        for v in S:
+            qstate.add(v)
 
     def evaluate() -> float:
         union = sorted({v for S in sets for v in S})
@@ -568,81 +575,46 @@ def _local_search(instance: Instance, config: SolverConfig | None,
     if cap is None:
         cap = 10 * n * (int(budgets.max()) if len(budgets) else 0)
     events = []
-    counts = None
-    if q.kind == "coverage" and use_combined:
-        from collections import Counter
-        counts = Counter()
-        for S in sets:
-            for v in S:
-                counts.update(q.covers[v])
-
-    def quality_delta(out: int, inn: int) -> float:
-        if not use_combined or q.kind == "zero":
-            return 0.0
-        if q.kind == "modular":
-            return float(q.weights[inn] - q.weights[out])
-        lost = sum(
-            1 for item in q.covers[out]
-            if counts[item] == 1 and item not in q.covers[inn]
-        )
-        gained = sum(
-            1 for item in q.covers[inn]
-            if counts[item] - (1 if item in q.covers[out] else 0) == 0
-        )
-        return float(gained - lost)
-
     swaps = 0
     while swaps < cap:
-        union = sorted({v for S in sets for v in S})
-        taken = set(union)
-        used_cells = {}
-        for S in sets:
-            for v in S:
-                used_cells[int(cells[v])] = used_cells.get(int(cells[v]), 0) + 1
+        taken = qstate.in_sel
+        union = np.flatnonzero(taken)
+        cell_load = np.bincount(cells[union], minlength=n)
         best = None
-        best_key = None
         for j in range(instance.m):
-            Sj = sorted(sets[j])
-            members = set(instance.clusters[j].members)
-            for out in Sj:
-                out_cell = int(cells[out])
-                if use_combined:
-                    peers = np.asarray([v for v in Sj if v != out], dtype=int)
-                    sds_out = float(oracle.row(out, peers).sum()) if peers.size else 0.0
-                else:
-                    rest = np.asarray([v for v in union if v != out], dtype=int)
-                    sds_out = float(oracle.row(out, rest).sum()) if rest.size else 0.0
-                for inn in sorted(members):
-                    if inn == out or inn in taken:
-                        continue
-                    cell = int(cells[inn])
-                    used = used_cells.get(cell, 0) - (1 if cell == out_cell else 0)
-                    if used > 0:
-                        continue
-                    if use_combined:
-                        sds_in = float(oracle.row(inn, peers).sum()) if peers.size else 0.0
-                        delta = lam * (sds_in - sds_out) + quality_delta(out, inn)
-                    else:
-                        sds_in = (float(oracle.row(inn, rest).sum())
-                                  if rest.size else 0.0)
-                        delta = sds_in - sds_out
-                    if delta <= cfg.epsilon * f_cur:
-                        continue
-                    key = (-delta, j, out, inn)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (delta, j, out, inn)
+            if not sets[j]:
+                continue
+            outs = np.asarray(sorted(sets[j]), dtype=int)
+            mem = members[j]
+            # Distance sums to the cluster's members from S_j (lsi) or U (lsg):
+            # swapping out for inn changes the objective's distance part by
+            # (t[inn] - d(out, inn)) - t[out].
+            ref = outs if use_combined else union
+            R = np.array([oracle.row(int(p), mem) for p in ref])
+            t = R.sum(axis=0)
+            d_out = R[np.searchsorted(ref, outs)]
+            t_out = t[np.searchsorted(mem, outs)]
+            gains = (scale * ((t[None, :] - d_out) - t_out[:, None])
+                     + qstate.swap_delta(outs, mem))
+            # inn must be free and its cell unused once out leaves
+            mem_cells = cells[mem]
+            load = (cell_load[mem_cells][None, :]
+                    - (mem_cells[None, :] == cells[outs][:, None]))
+            gains[taken[mem][None, :] | (load > 0)] = -np.inf
+            # row-major first maximum: smallest out, then smallest inn
+            a, i = divmod(int(np.argmax(gains)), mem.size)
+            gain = float(gains[a, i])
+            if gain > cfg.epsilon * f_cur and (best is None or gain > best[0]):
+                best = (gain, j, int(outs[a]), int(mem[i]))
         if best is None:
             break
         delta, j, out, inn = best
         sets[j].discard(out)
         sets[j].add(inn)
-        if counts is not None:
-            counts.subtract(q.covers[out])
-            counts += type(counts)()
-            counts.update(q.covers[inn])
+        qstate.remove(out)
+        qstate.add(inn)
         f_cur = evaluate()
-        events.append(TraceEvent(len(events), "swap", j, (out, inn), float(delta)))
+        events.append(TraceEvent(len(events), "swap", j, (out, inn), delta))
         swaps += 1
     solution = Solution.from_sets(sets)
     return solution, SolveTrace(name, events, init=init.selected)
@@ -652,17 +624,27 @@ def solve_lsi(instance: Instance, config: SolverConfig | None = None,
               init: Solution | None = None) -> tuple:
     """Local search on the combined objective with single-element swaps.
 
-    Starts from init (validated) or a seeded random solution. Applies the
-    best improving swap while its gain exceeds epsilon times the current
-    objective, up to max_ls_iters swaps. Returns (Solution, SolveTrace);
-    the trace stores the start and one swap event per move.
+    Starts from init (validated) or the seeded rn solution. A swap replaces
+    one element of S_j by a free member of cluster j whose cell is unused
+    once the element leaves. Each step applies the best swap, breaking ties
+    by smaller cluster id, then smaller outgoing id, then smaller incoming
+    id, while its gain exceeds epsilon times the current objective, up to
+    max_ls_iters swaps (default 10 * n * max budget). Returns (Solution,
+    SolveTrace); the trace stores the start and one swap event per move,
+    whose gain is the change of the combined objective up to rounding.
     """
     return _local_search(instance, config, init, use_combined=True, name="lsi")
 
 
 def solve_lsg(instance: Instance, config: SolverConfig | None = None,
               init: Solution | None = None) -> tuple:
-    """Local search on the global dispersion of the union (quality ignored)."""
+    """Local search on the global dispersion of the union (quality ignored).
+
+    Same start, swap moves, tie-breaking, epsilon rule and swap cap as
+    solve_lsi, but the objective is the once-counted dispersion over all
+    pairs of the union, cross-cluster pairs included. Returns (Solution,
+    SolveTrace).
+    """
     return _local_search(instance, config, init, use_combined=False, name="lsg")
 
 
@@ -786,12 +768,9 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
                 usize[mask] = umask[mask].bit_count()
             qtab = np.asarray(usize, dtype=float)
 
-    def subset_quality(mask_ids: tuple) -> float:
-        return qual.value(q, mask_ids)
-
     best_term = []
     for subsets in cand:
-        terms = [lam * disp + subset_quality(combo) for combo, _, _, disp in subsets]
+        terms = [lam * disp + qual.value(q, combo) for combo, _, _, disp in subsets]
         best_term.append(max(terms) if terms else 0.0)
     suffix = [0.0] * (m + 1)
     for j in range(m - 1, -1, -1):
@@ -799,9 +778,6 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
 
     state = {"val": -math.inf, "enc": None}
     last = m - 1
-    em_arr = [np.array([s[1] for s in subsets], dtype=object) for subsets in cand]
-    cm_arr = [np.array([s[2] for s in subsets], dtype=object) for subsets in cand]
-    dsp_arr = [np.array([s[3] for s in subsets]) for subsets in cand]
 
     def dfs(j, used, cellused, union_mask, union_set, disp_acc, partial):
         if j == last:
@@ -840,7 +816,7 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
         for combo, em, cm, disp in cand[j]:
             if (em & used) or (cm & cellused):
                 continue
-            bound = base_q + subset_quality(combo) + lam * (disp_acc + disp) + suffix[j + 1]
+            bound = base_q + qual.value(q, combo) + lam * (disp_acc + disp) + suffix[j + 1]
             if bound < state["val"]:
                 continue
             dfs(j + 1, used | em, cellused | cm, union_mask | em,

@@ -37,6 +37,16 @@ def test_validate_negative_lambda():
     assert any(v.where == "lambda" for v in report)
 
 
+def test_validate_negative_modular_weight():
+    # a negative weight makes the quality non-monotone
+    report = validate_instance(line_instance(
+        quality=QualityFunction.modular([1.0, -5.0, 1.0, 1.0])))
+    assert [(v.kind, v.where) for v in report] == [("quality", "quality.weights")]
+    assert "weight 1" in report[0].message
+    assert validate_instance(line_instance(
+        quality=QualityFunction.modular([0.0, 5.0, 1.0, 1.0]))) == []
+
+
 def test_validate_asymmetric_matrix():
     M = np.array([[0.0, 1.0], [2.0, 0.0]])
     inst = Instance(n=2, feature_kind="matrix", features=None, distance_matrix=M,

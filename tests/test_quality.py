@@ -109,6 +109,29 @@ def test_state_marginal_vec():
     assert vec[2] == pytest.approx(1.0)
 
 
+def test_state_swap_delta_matches_value():
+    # 0 and 1 share s2: swapping 0 for 1 keeps s2, loses s1, gains s3
+    rng = np.random.default_rng(12)
+    covers = [K1, K2, frozenset({"s1"})] + [
+        frozenset(rng.choice(10, size=3).tolist()) for _ in range(9)]
+    for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(12)),
+              QualityFunction.coverage(covers)):
+        st = QualityState(q, 12)
+        sel = [0, 4, 5, 7]
+        for v in sel:
+            st.add(v)
+        outs = np.array(sel)
+        inns = np.array([1, 2, 3, 6, 8, 9, 10, 11])
+        D = st.swap_delta(outs, inns)
+        assert D.shape == (4, 8)
+        for a, out in enumerate(sel):
+            rest = [v for v in sel if v != out]
+            for i, inn in enumerate(inns.tolist()):
+                want = value(q, rest + [inn]) - value(q, sel)
+                assert D[a, i] == pytest.approx(want)
+    assert D[0, 0] == 0.0
+
+
 def test_monotone_and_submodular_sampled():
     rng = np.random.default_rng(31)
     covers = [frozenset(rng.choice(8, size=2).tolist()) for _ in range(10)]
