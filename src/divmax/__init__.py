@@ -19,7 +19,6 @@ from .model import (
 from .geometry import (
     DistanceOracle,
     approx_diameter,
-    distance,
     exact_diameter,
     set_distance_sum,
 )

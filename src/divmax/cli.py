@@ -163,7 +163,7 @@ def _cmd_experiment(args) -> int:
             seed=args.seed, enhanced=args.enhanced))
     spec = harness.ExperimentSpec(
         instance=instance, algorithms=configs, runs=args.runs,
-        vary=args.vary, workers=args.workers)
+        vary=args.vary)
     report = harness.run_experiment(spec)
     for label in report.labels():
         print(f"{label}: mean normalized {report.mean_normalized(label):.4f}")
@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--enhanced", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -167,11 +167,6 @@ class DistanceOracle:
         return D
 
 
-def distance(oracle: DistanceOracle, u: int, v: int) -> float:
-    """Distance between two elements under the oracle's metric."""
-    return oracle.distance(u, v)
-
-
 def set_distance_sum(oracle: DistanceOracle, v: int, S: Iterable[int]) -> float:
     """Sum of distances from v to every element of S.
 

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,7 +153,6 @@ class ExperimentSpec:
     runs: int = 10
     vary: str = "seed"  # "seed" | "cluster_order" | "alpha"
     alphas: list = field(default_factory=lambda: [0.5, 0.75, 0.9, 0.95, 1.0])
-    workers: int = 1
 
 
 @dataclass
@@ -254,40 +252,26 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     The instance's distance cache is built once up front and shared; each
     row records objective parts, per-cluster fill counts and wall time.
     normalized = combined / best combined over all rows, so the best row is
-    exactly 1.0 (all rows score 1.0 when everything is zero). Results are
-    independent of the worker count; workers only parallelize solves.
+    exactly 1.0 (all rows score 1.0 when everything is zero).
     """
     instance = spec.instance
     instance.oracle()
-    jobs = []
-    for ci, base in enumerate(spec.algorithms):
-        for run in range(spec.runs):
-            jobs.append((ci, run, _derive_config(base, spec, run)))
-
-    def execute(job):
-        ci, run, cfg = job
-        t0 = time.perf_counter()
-        solution, _ = solvers.solve(instance, cfg)
-        dt = time.perf_counter() - t0
-        val = objective.combined_objective(instance, solution)
-        return ci, run, cfg, solution, val, dt
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(execute, jobs))
-    else:
-        results = [execute(job) for job in jobs]
-
     rows = []
-    for ci, run, cfg, solution, val, dt in results:
-        rows.append(ExperimentRow(
-            label=_config_label(spec.algorithms[ci]),
-            algorithm=solvers.Algorithm(cfg.algorithm).value,
-            run=run, alpha=cfg.alpha, seed=cfg.seed,
-            quality=val.quality, dispersion=val.dispersion,
-            combined=val.combined, normalized=0.0, wall_time_s=dt,
-            fills=solution.fills(),
-        ))
+    for base in spec.algorithms:
+        for run in range(spec.runs):
+            cfg = _derive_config(base, spec, run)
+            t0 = time.perf_counter()
+            solution, _ = solvers.solve(instance, cfg)
+            dt = time.perf_counter() - t0
+            val = objective.combined_objective(instance, solution)
+            rows.append(ExperimentRow(
+                label=_config_label(base),
+                algorithm=solvers.Algorithm(cfg.algorithm).value,
+                run=run, alpha=cfg.alpha, seed=cfg.seed,
+                quality=val.quality, dispersion=val.dispersion,
+                combined=val.combined, normalized=0.0, wall_time_s=dt,
+                fills=solution.fills(),
+            ))
     best = max((r.combined for r in rows), default=0.0)
     for r in rows:
         r.normalized = r.combined / best if best > 0 else 1.0

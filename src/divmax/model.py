@@ -98,9 +98,6 @@ class Instance:
                 self._cells = cells
         return self._cells
 
-    def trivial_partition(self) -> bool:
-        return self.partition is None or len(set(self.partition)) == self.n
-
 
 @dataclass
 class Solution:
@@ -367,18 +364,15 @@ def is_feasible(instance: Instance, solution: Solution) -> list:
 def available_elements(instance: Instance, partial, cluster_id: int) -> list:
     """Members of the cluster that can still be added to it.
 
-    An element is available when it is not selected anywhere in the partial
-    solution and no selected element occupies its partition cell. Returned
-    sorted ascending.
+    An element is available when no selected element occupies its partition
+    cell. A selected element occupies its own cell, so it is never
+    available. Returned sorted ascending.
     """
     sets = _selected_sets(partial, instance.m)
-    used = set()
-    for S in sets:
-        used |= S
     cells = instance.cell_of()
-    used_cells = {int(cells[v]) for v in used}
-    c = instance.clusters[cluster_id]
-    return [v for v in c.members if v not in used and int(cells[v]) not in used_cells]
+    load = np.bincount(cells[[v for S in sets for v in S]], minlength=instance.n)
+    ids = np.asarray(instance.clusters[cluster_id].members, dtype=int)
+    return ids[load[cells[ids]] == 0].tolist()
 
 
 def is_saturated(instance: Instance, partial, cluster_id: int,
@@ -387,23 +381,16 @@ def is_saturated(instance: Instance, partial, cluster_id: int,
 
     Element mode: saturated when the budget is reached or no member is
     available. Pair mode: saturated when fewer than two slots remain against
-    the even-rounded budget 2*floor(b/2), or fewer than two available
-    members exist, or the available members span fewer than two partition
-    cells.
+    the even-rounded budget 2*floor(b/2), or the available members span
+    fewer than two partition cells.
     """
-    sets = _selected_sets(partial, instance.m)
     c = instance.clusters[cluster_id]
-    size = len(sets[cluster_id])
+    size = len(_selected_sets(partial, instance.m)[cluster_id])
     avail = available_elements(instance, partial, cluster_id)
     if not pair_mode:
         return size >= c.budget or not avail
-    even_budget = 2 * (c.budget // 2)
-    if even_budget - size < 2:
-        return True
-    if len(avail) < 2:
-        return True
     cells = instance.cell_of()
-    return len({int(cells[v]) for v in avail}) < 2
+    return 2 * (c.budget // 2) - size < 2 or len({int(cells[v]) for v in avail}) < 2
 
 
 def min_coverage_filter(instance: Instance, t: int | None) -> Instance:

@@ -111,14 +111,26 @@ def pair_gain_dispersion(instance: Instance, partial, cluster_id: int,
     return (b - 1) * instance.oracle().distance(u, v)
 
 
+def pair_score(marginal, lam: float, weight, dist):
+    """Quality-mode score of candidate pairs: marginal + lam * (weight - 1) * dist.
+
+    marginal is the pair's joint quality marginal and weight the even-rounded
+    budget b' of the receiving cluster. Works elementwise on arrays; the
+    product is formed as (lam * (weight - 1)) * dist.
+    """
+    return marginal + lam * (weight - 1) * dist
+
+
 def pair_gain_combined(instance: Instance, partial, cluster_id: int,
                        u: int, v: int,
                        q: qual.QualityFunction | None = None,
                        lam: float | None = None) -> float:
     """Combined greedy pair weight for quality + dispersion instances.
 
-    Equals the joint quality marginal of {u, v} over the current union plus
-    lambda * 2 * (b' - 1) * d(u, v) with b' = 2 * ceil(b_j / 2). Validation
+    Equals pair_score(joint quality marginal of {u, v} over the current
+    union, lambda, b', d(u, v)) = marginal + lambda * (b' - 1) * d(u, v) with
+    b' = 2 * ceil(b_j / 2): the score the pair-based solvers maximize. With
+    zero quality it equals pair_gain_dispersion for even budgets. Validation
     matches pair_gain_dispersion.
     """
     _require_feasible_pair(instance, partial, cluster_id, u, v)
@@ -130,7 +142,7 @@ def pair_gain_combined(instance: Instance, partial, cluster_id: int,
     union = set().union(*sets) if sets else set()
     mp = qual.marginal_pair(q, union, u, v)
     bprime = 2 * math.ceil(instance.clusters[cluster_id].budget / 2)
-    return mp + lam * 2.0 * (bprime - 1) * instance.oracle().distance(u, v)
+    return pair_score(mp, lam, bprime, instance.oracle().distance(u, v))
 
 
 def removal_measure(instance: Instance, ordered_selection: Sequence,

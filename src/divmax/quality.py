@@ -207,20 +207,21 @@ class QualityState:
             gained[i] = g
         return gained[None, :] - (lost[:, None] - kept)
 
-    def marginal_pair(self, u: int, v: int) -> float:
-        if u == v:
+    def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
+        """Joint marginal gains of adding u together with each element of vs."""
+        vs = np.asarray(vs, dtype=int)
+        if np.any(vs == u):
             raise ValueError("marginal_pair needs two distinct elements")
         if self.q.kind == "zero":
-            return 0.0
+            return np.zeros(vs.size)
         mu = self.marginal(u)
         if self.q.kind == "modular":
-            return mu + self.marginal(v)
-        if self.in_sel[v]:
-            return mu
+            return mu + self.marginal_vec(vs)
         cov_u = self.q.covers[u] if not self.in_sel[u] else frozenset()
-        extra = sum(
-            1
-            for item in self.q.covers[v]
-            if self._counts[item] == 0 and item not in cov_u
-        )
-        return mu + float(extra)
+        counts = self._counts
+        extra = [
+            0 if self.in_sel[v] else sum(
+                1 for item in self.q.covers[v] if counts[item] == 0 and item not in cov_u)
+            for v in vs
+        ]
+        return mu + np.asarray(extra, dtype=float)

@@ -5,30 +5,32 @@ ties by larger gain first, then smaller cluster id, then smaller minimum
 element id, then smaller maximum element id. Randomized components draw from
 numpy's default_rng seeded by the config.
 
+Availability: an element is free when no selected element shares its
+partition cell. _State keeps the per-cell count of selected elements, and a
+selected element fills its own cell, so this one rule also excludes elements
+already taken (model.available_elements applies the same rule to a partial
+solution).
+
 Pair-based solvers score a candidate pair {u, v} for cluster j with
 (b_j - 1) * d(u, v) on dispersion-only instances. When a quality function is
-present the score is the joint quality marginal of the pair over the current
-union plus lambda * (b'_j - 1) * d(u, v) with b'_j = 2 * ceil(b_j / 2), which
-keeps quality and once-counted dispersion on the same scale.
+present the score is objective.pair_score: the joint quality marginal of the
+pair over the current union plus lambda * (b'_j - 1) * d(u, v) with
+b'_j = 2 * ceil(b_j / 2), which keeps quality and once-counted dispersion on
+the same scale. objective.pair_gain_combined returns the same score.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
-from . import geometry, objective, quality as qual
-from .model import (
-    Instance,
-    Solution,
-    available_elements,
-    is_feasible,
-)
+from . import objective, quality as qual
+from .model import Instance, Solution, _selected_sets, is_feasible
 
 DEFAULT_ORACLE_LIMIT = 10_000_000
 
@@ -99,75 +101,75 @@ def _check_order(order, m: int) -> list:
 
 
 class _State:
-    """Mutable bookkeeping for one solver run."""
+    """Selection bookkeeping for one solver run.
 
-    def __init__(self, instance: Instance, algorithm: str):
+    load[c] counts the selected elements in partition cell c, and an element
+    is free when its cell's load is zero. A selected element fills its own
+    cell, so the same rule also excludes every element already taken. start
+    seeds the selection (per-cluster collections) without trace events; q
+    overrides the tracked quality function.
+    """
+
+    def __init__(self, instance: Instance, algorithm: str,
+                 q: qual.QualityFunction | None = None, start=None):
         self.inst = instance
         self.oracle = instance.oracle()
         self.n = instance.n
         self.m = instance.m
         self.cells = instance.cell_of()
-        self.trivial = instance.trivial_partition()
         self.members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
+        self.member_cells = [self.cells[ids] for ids in self.members]
         self.member_sets = [set(c.members) for c in instance.clusters]
-        self.avail = np.ones(self.n, dtype=bool)
-        self.taken = np.zeros(self.n, dtype=bool)
+        self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.order = []  # chronological (element, cluster) additions
-        self.qstate = qual.QualityState(instance.quality, self.n)
+        self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
         self.events = []
         self.algorithm = algorithm
-        if not self.trivial:
-            groups = {}
-            for v in range(self.n):
-                groups.setdefault(int(self.cells[v]), []).append(v)
-            self.cell_members = {c: np.asarray(vs, dtype=int) for c, vs in groups.items()}
+        self.init = start
+        for j, S in enumerate(start or ()):
+            for v in S:
+                self._add(j, int(v))
 
-    def avail_members(self, j: int) -> np.ndarray:
-        ids = self.members[j]
-        return ids[self.avail[ids]]
+    def free_members(self, j: int) -> np.ndarray:
+        return self.members[j][self.load[self.member_cells[j]] == 0]
 
-    def _block(self, v: int) -> None:
-        if self.trivial:
-            self.avail[v] = False
-        else:
-            self.avail[self.cell_members[int(self.cells[v])]] = False
-
-    def add_pair(self, j: int, u: int, v: int, gain: float) -> None:
-        for w in (u, v):
-            self.sel[j].add(w)
-            self.order.append((w, j))
-            self.qstate.add(w)
-            self.taken[w] = True
-            self._block(w)
-        self.events.append(TraceEvent(len(self.events), "pair", j, (u, v), gain))
-
-    def add_single(self, j: int, v: int, gain: float) -> None:
+    def _add(self, j: int, v: int) -> None:
         self.sel[j].add(v)
         self.order.append((v, j))
         self.qstate.add(v)
-        self.taken[v] = True
-        self._block(v)
-        self.events.append(TraceEvent(len(self.events), "single", j, (v,), gain))
+        self.load[self.cells[v]] += 1
 
-    def remove(self, j: int, v: int, gain: float) -> None:
+    def _drop(self, j: int, v: int) -> None:
         self.sel[j].discard(v)
         self.order = [(w, c) for (w, c) in self.order if w != v]
         self.qstate.remove(v)
-        self.taken[v] = False
-        self._recompute_avail()
-        self.events.append(TraceEvent(len(self.events), "remove", j, (v,), gain))
+        self.load[self.cells[v]] -= 1
 
-    def _recompute_avail(self) -> None:
-        self.avail = ~self.taken
-        if not self.trivial:
-            used_cells = {int(self.cells[v]) for v in np.flatnonzero(self.taken)}
-            for c in used_cells:
-                self.avail[self.cell_members[c]] = False
+    def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:
+        self.events.append(TraceEvent(len(self.events), kind, j, elements, gain))
+
+    def add_pair(self, j: int, u: int, v: int, gain: float) -> None:
+        self._add(j, u)
+        self._add(j, v)
+        self._event("pair", j, (u, v), gain)
+
+    def add_single(self, j: int, v: int, gain: float) -> None:
+        self._add(j, v)
+        self._event("single", j, (v,), gain)
+
+    def remove(self, j: int, v: int, gain: float) -> None:
+        self._drop(j, v)
+        self._event("remove", j, (v,), gain)
+
+    def swap(self, j: int, out: int, inn: int, gain: float) -> None:
+        self._drop(j, out)
+        self._add(j, inn)
+        self._event("swap", j, (out, inn), gain)
 
     def finish(self) -> tuple:
         solution = Solution.from_sets(self.sel)
-        return solution, SolveTrace(self.algorithm, self.events)
+        return solution, SolveTrace(self.algorithm, self.events, init=self.init)
 
 
 def _loop_budgets(budgets: np.ndarray, policy: OddPolicy) -> np.ndarray:
@@ -194,38 +196,37 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int, lam: float):
     """Exact best feasible pair in cluster j under the current state.
 
     Scans every remaining pair; the first maximum wins, which is the
-    lexicographically smallest (u, v) because ids are ascending.
+    lexicographically smallest (u, v) because ids are ascending. Same-cell
+    pairs score -inf, and None means no pair scores above that.
     """
-    ids = st.avail_members(j)
+    ids = st.free_members(j)
     k = ids.size
     if k < 2:
         return None
     D = st.oracle.pairwise(ids)
-    cells = st.cells[ids] if not st.trivial else None
+    cells = st.cells[ids]
+    same = cells[:, None] == cells[None, :]
     best = None
     if not qmode:
+        # raw distances, scaled after the argmax: a zero weight must not tie
+        D[same] = -np.inf
         for a in range(k):
             Da = D[a]
             for bb in range(a + 1, k):
-                if cells is not None and cells[a] == cells[bb]:
-                    continue
                 d = Da[bb]
                 if best is None or d > best[0]:
                     best = (d, a, bb)
-        if best is None:
+        if best[0] == -np.inf:
             return None
         return (weight - 1) * float(best[0]), int(ids[best[1]]), int(ids[best[2]])
-    for a in range(k):
-        Da = D[a]
-        u = int(ids[a])
-        for bb in range(a + 1, k):
-            if cells is not None and cells[a] == cells[bb]:
-                continue
-            v = int(ids[bb])
-            g = st.qstate.marginal_pair(u, v) + lam * (weight - 1) * Da[bb]
-            if best is None or g > best[0]:
-                best = (g, a, bb)
-    if best is None:
+    for a in range(k - 1):
+        g = objective.pair_score(
+            st.qstate.marginal_pair(int(ids[a]), ids[a + 1:]), lam, weight, D[a, a + 1:])
+        g[same[a, a + 1:]] = -np.inf
+        i = int(np.argmax(g))
+        if best is None or g[i] > best[0]:
+            best = (g[i], a, a + 1 + i)
+    if best[0] == -np.inf:
         return None
     return float(best[0]), int(ids[best[1]]), int(ids[best[2]])
 
@@ -236,7 +237,7 @@ def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -
         for j in range(st.m):
             if budgets[j] % 2 == 0 or len(st.sel[j]) >= budgets[j]:
                 continue
-            ids = st.avail_members(j)
+            ids = st.free_members(j)
             if ids.size == 0:
                 continue
             if st.sel[j]:
@@ -302,18 +303,14 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     return st.finish()
 
 
-def _feasible_pair_exists(st: _State, j: int) -> bool:
-    ids = st.avail_members(j)
-    if ids.size < 2:
-        return False
-    if st.trivial:
-        return True
-    return len({int(c) for c in st.cells[ids]}) >= 2
+def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
+    """The ids outside x's cell, which also leaves out x itself."""
+    return ids[st.cells[ids] != st.cells[x]]
 
 
 def _gpa_candidate(st: _State, j: int, dsum_j: np.ndarray, alpha: float,
                    qmode: bool, weight: int, lam: float):
-    ids = st.avail_members(j)
+    ids = st.free_members(j)
     if ids.size < 2:
         return None
     if not qmode:
@@ -321,9 +318,7 @@ def _gpa_candidate(st: _State, j: int, dsum_j: np.ndarray, alpha: float,
             x = int(ids[int(np.argmax(dsum_j[ids]))])
         else:
             x = int(ids[0])
-        pool = ids[ids != x]
-        if not st.trivial:
-            pool = pool[st.cells[pool] != st.cells[x]]
+        pool = _partners(st, x, ids)
         if pool.size == 0:
             return None
         rows = st.oracle.row(x, pool)
@@ -332,21 +327,14 @@ def _gpa_candidate(st: _State, j: int, dsum_j: np.ndarray, alpha: float,
         y = int(pool[int(np.argmax(dsum_j[pool]))])
         gain = (weight - 1) * st.oracle.distance(x, y)
         return float(gain), x, y
-    margs = st.qstate.marginal_vec(ids)
-    x = int(ids[int(np.argmax(margs))])
-    pool = ids[ids != x]
-    if not st.trivial:
-        pool = pool[st.cells[pool] != st.cells[x]]
+    x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
+    pool = _partners(st, x, ids)
     if pool.size == 0:
         return None
-    d_xy = st.oracle.row(x, pool)
-    if st.inst.quality.kind == "modular":
-        mp = st.qstate.marginal(x) + st.qstate.marginal_vec(pool)
-    else:
-        mp = np.array([st.qstate.marginal_pair(x, int(y)) for y in pool])
-    phi = mp + lam * (weight - 1) * d_xy
-    k = int(np.argmax(phi))
-    return float(phi[k]), x, int(pool[k])
+    score = objective.pair_score(
+        st.qstate.marginal_pair(x, pool), lam, weight, st.oracle.row(x, pool))
+    k = int(np.argmax(score))
+    return float(score[k]), x, int(pool[k])
 
 
 def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
@@ -361,16 +349,24 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
     and mark every unsaturated cluster containing the first element covered.
     One candidate per round; the caller picks the best.
     """
-    unsat = [
-        j for j in range(st.m)
-        if len(st.sel[j]) + 2 <= loopb[j] and _feasible_pair_exists(st, j)
-    ]
+    unsat = []
+    for j in range(st.m):
+        ids = st.free_members(j)
+        # a feasible pair needs free members in two cells
+        if len(st.sel[j]) + 2 <= loopb[j] and ids.size and _partners(st, ids[0], ids).size:
+            unsat.append(j)
     uncovered = set(unsat)
     cands = []
+
+    def home(elig: list, y: int) -> int:
+        """The eligible cluster holding y with the largest budget, then lowest id."""
+        return max((j for j in elig if y in st.member_sets[j]),
+                   key=lambda j: (budgets[j], -j))
+
     while uncovered:
         pick = None
         for j in sorted(uncovered):
-            ids = st.avail_members(j)
+            ids = st.free_members(j)
             if ids.size == 0:
                 continue
             meas = st.qstate.marginal_vec(ids) if qmode else dsum[j][ids]
@@ -381,10 +377,8 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
             break
         _, jx, x = pick
         elig = [j for j in unsat if x in st.member_sets[j]]
-        pool = np.unique(np.concatenate([st.avail_members(j) for j in elig]))
-        pool = pool[pool != x]
-        if not st.trivial:
-            pool = pool[st.cells[pool] != st.cells[x]]
+        pool = np.unique(np.concatenate([st.free_members(j) for j in elig]))
+        pool = _partners(st, x, pool)
         if pool.size == 0:
             uncovered -= set(elig)
             continue
@@ -392,20 +386,15 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
             rows = st.oracle.row(x, pool)
             k = int(np.argmax(rows))
             y = int(pool[k])
-            elig_y = [j for j in elig if y in st.member_sets[j]]
-            cluster = max(elig_y, key=lambda j: (budgets[j], -j))
+            cluster = home(elig, y)
             gain = (weights[cluster] - 1) * float(rows[k])
         else:
-            best = None
-            for y_ in pool:
-                y_ = int(y_)
-                elig_y = [j for j in elig if y_ in st.member_sets[j]]
-                jy = max(elig_y, key=lambda j: (budgets[j], -j))
-                phi = st.qstate.marginal_pair(x, y_) + lam * (
-                    weights[jy] - 1) * st.oracle.distance(x, y_)
-                if best is None or phi > best[0]:
-                    best = (float(phi), y_, jy)
-            gain, y, cluster = best
+            homes = np.array([home(elig, int(y)) for y in pool])
+            dist = np.array([st.oracle.distance(x, int(y)) for y in pool])
+            score = objective.pair_score(
+                st.qstate.marginal_pair(x, pool), lam, weights[homes], dist)
+            k = int(np.argmax(score))
+            gain, y, cluster = score[k], int(pool[k]), int(homes[k])
         cands.append((float(gain), cluster, x, y))
         uncovered -= set(elig)
     return cands
@@ -477,7 +466,7 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
         mj = st.members[j]
         dsum = np.zeros(st.n)
         while len(st.sel[j]) < b:
-            ids = st.avail_members(j)
+            ids = st.free_members(j)
             if ids.size == 0:
                 break
             gains = st.qstate.marginal_vec(ids) + lam * dsum[ids]
@@ -502,7 +491,7 @@ def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
         for j in range(st.m):
             if len(st.sel[j]) >= budgets[j]:
                 continue
-            ids = st.avail_members(j)
+            ids = st.free_members(j)
             if ids.size == 0:
                 continue
             margs = st.qstate.marginal_vec(ids)
@@ -532,7 +521,7 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
         order = rng.permutation(st.m).tolist()
     for j in order:
         while len(st.sel[j]) < budgets[j]:
-            ids = st.avail_members(j)
+            ids = st.free_members(j)
             if ids.size == 0:
                 break
             v = int(ids[int(rng.integers(ids.size))])
@@ -549,43 +538,33 @@ def _local_search(instance: Instance, config: SolverConfig | None,
         bad = is_feasible(instance, init)
         if bad:
             raise ValueError(f"infeasible local search start: {bad[0]}")
-    oracle = instance.oracle()
     lam = float(instance.lam)
     q = instance.quality
-    cells = instance.cell_of()
-    sets = init.as_sets()
-    budgets = instance.budgets()
-    n = instance.n
-    members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
     # lsg climbs the union's global dispersion and ignores quality.
-    qstate = qual.QualityState(q if use_combined else qual.QualityFunction.zero(), n)
+    st = _State(instance, name, q if use_combined else qual.QualityFunction.zero(),
+                start=init.selected)
+    oracle, cells = st.oracle, st.cells
     scale = lam if use_combined else 1.0
-    for S in sets:
-        for v in S:
-            qstate.add(v)
 
     def evaluate() -> float:
-        union = sorted({v for S in sets for v in S})
+        union = sorted({v for S in st.sel for v in S})
         if use_combined:
-            return qual.value(q, union) + lam * objective.intra_dispersion(oracle, sets)
+            return qual.value(q, union) + lam * objective.intra_dispersion(oracle, st.sel)
         return objective.cluster_dispersion(oracle, union)
 
     f_cur = evaluate()
     cap = cfg.max_ls_iters
     if cap is None:
-        cap = 10 * n * (int(budgets.max()) if len(budgets) else 0)
-    events = []
-    swaps = 0
-    while swaps < cap:
-        taken = qstate.in_sel
-        union = np.flatnonzero(taken)
-        cell_load = np.bincount(cells[union], minlength=n)
+        budgets = instance.budgets()
+        cap = 10 * st.n * (int(budgets.max()) if len(budgets) else 0)
+    while len(st.events) < cap:
+        union = np.flatnonzero(st.qstate.in_sel)
         best = None
-        for j in range(instance.m):
-            if not sets[j]:
+        for j in range(st.m):
+            if not st.sel[j]:
                 continue
-            outs = np.asarray(sorted(sets[j]), dtype=int)
-            mem = members[j]
+            outs = np.asarray(sorted(st.sel[j]), dtype=int)
+            mem = st.members[j]
             # Distance sums to the cluster's members from S_j (lsi) or U (lsg):
             # swapping out for inn changes the objective's distance part by
             # (t[inn] - d(out, inn)) - t[out].
@@ -595,12 +574,12 @@ def _local_search(instance: Instance, config: SolverConfig | None,
             d_out = R[np.searchsorted(ref, outs)]
             t_out = t[np.searchsorted(mem, outs)]
             gains = (scale * ((t[None, :] - d_out) - t_out[:, None])
-                     + qstate.swap_delta(outs, mem))
-            # inn must be free and its cell unused once out leaves
+                     + st.qstate.swap_delta(outs, mem))
+            # inn's cell must be empty once out leaves; inn == out is no move
             mem_cells = cells[mem]
-            load = (cell_load[mem_cells][None, :]
+            load = (st.load[mem_cells][None, :]
                     - (mem_cells[None, :] == cells[outs][:, None]))
-            gains[taken[mem][None, :] | (load > 0)] = -np.inf
+            gains[(load > 0) | (mem[None, :] == outs[:, None])] = -np.inf
             # row-major first maximum: smallest out, then smallest inn
             a, i = divmod(int(np.argmax(gains)), mem.size)
             gain = float(gains[a, i])
@@ -609,15 +588,9 @@ def _local_search(instance: Instance, config: SolverConfig | None,
         if best is None:
             break
         delta, j, out, inn = best
-        sets[j].discard(out)
-        sets[j].add(inn)
-        qstate.remove(out)
-        qstate.add(inn)
+        st.swap(j, out, inn, delta)
         f_cur = evaluate()
-        events.append(TraceEvent(len(events), "swap", j, (out, inn), delta))
-        swaps += 1
-    solution = Solution.from_sets(sets)
-    return solution, SolveTrace(name, events, init=init.selected)
+    return st.finish()
 
 
 def solve_lsi(instance: Instance, config: SolverConfig | None = None,
@@ -658,38 +631,24 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     marginal in the cluster, and the pair score of (x, y) beyond x's marginal
     is at least alpha times the best such margin over partners of x.
     """
-    if q is None:
-        q = instance.quality
     if lam is None:
         lam = float(instance.lam)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    avail = available_elements(instance, partial, cluster_id)
-    if x not in avail or y not in avail or x == y:
+    st = _State(instance, "alpha", q, start=_selected_sets(partial, instance.m))
+    ids = st.free_members(cluster_id)
+    if x not in ids:
         return False
-    cells = instance.cell_of()
-    if int(cells[x]) == int(cells[y]):
+    partners = _partners(st, x, ids)
+    if y not in partners:
         return False
-    if isinstance(partial, Solution):
-        union = set(partial.union())
-    else:
-        union = {v for S in partial for v in S}
-    oracle = instance.oracle()
-    b = instance.clusters[cluster_id].budget
-    w = 2 * math.ceil(b / 2)
-
-    def phi(u, v):
-        return qual.marginal_pair(q, union, u, v) + lam * (w - 1) * oracle.distance(u, v)
-
-    marg_x = qual.marginal(q, union, x)
-    best_marg = max(qual.marginal(q, union, v) for v in avail)
-    if marg_x < alpha * best_marg:
+    marg_x = st.qstate.marginal(x)
+    if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
-    partners = [v for v in avail if v != x and int(cells[v]) != int(cells[x])]
-    if not partners:
-        return False
-    best_margin = max(phi(x, v) - marg_x for v in partners)
-    return phi(x, y) - marg_x >= alpha * best_margin
+    w = 2 * math.ceil(instance.clusters[cluster_id].budget / 2)
+    dist = np.array([st.oracle.distance(x, int(v)) for v in partners])
+    margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w, dist) - marg_x
+    return bool(margin[partners == y][0] >= alpha * margin.max())
 
 
 def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
@@ -707,8 +666,6 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     if limit is None:
         limit = DEFAULT_ORACLE_LIMIT
     n, m = instance.n, instance.m
-    if n > 63:
-        raise OracleLimitError(f"oracle supports at most 63 elements, got {n}")
     budgets = instance.budgets()
     est = 1
     for j, c in enumerate(instance.clusters):

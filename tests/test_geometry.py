@@ -3,29 +3,29 @@
 import numpy as np
 import pytest
 
-from divmax import DistanceOracle, distance, set_distance_sum, exact_diameter, approx_diameter
+from divmax import DistanceOracle, set_distance_sum, exact_diameter, approx_diameter
 
 
 def test_euclidean_pythagoras():
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
     oracle = DistanceOracle("euclidean", features=pts)
-    assert distance(oracle, 0, 1) == pytest.approx(5.0)
-    assert distance(oracle, 0, 0) == 0.0
+    assert oracle.distance(0, 1) == pytest.approx(5.0)
+    assert oracle.distance(0, 0) == 0.0
 
 
 def test_jaccard_two_thirds():
     # u={s1,s2}, v={s2,s3}: intersection 1, union 3
     feats = [frozenset({"s1", "s2"}), frozenset({"s2", "s3"})]
     oracle = DistanceOracle("jaccard", features=feats)
-    assert distance(oracle, 0, 1) == pytest.approx(2.0 / 3.0)
-    assert distance(oracle, 1, 1) == 0.0
+    assert oracle.distance(0, 1) == pytest.approx(2.0 / 3.0)
+    assert oracle.distance(1, 1) == 0.0
 
 
 def test_jaccard_empty_sets():
     feats = [frozenset(), frozenset(), frozenset({"a"})]
     oracle = DistanceOracle("jaccard", features=feats)
-    assert distance(oracle, 0, 1) == 0.0
-    assert distance(oracle, 0, 2) == 1.0
+    assert oracle.distance(0, 1) == 0.0
+    assert oracle.distance(0, 2) == 1.0
 
 
 def test_cosine_requires_unit_norm():
@@ -37,8 +37,8 @@ def test_cosine_requires_unit_norm():
 def test_cosine_orthogonal():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     oracle = DistanceOracle("cosine", features=pts)
-    assert distance(oracle, 0, 1) == pytest.approx(1.0)
-    assert distance(oracle, 0, 2) == pytest.approx(2.0)
+    assert oracle.distance(0, 1) == pytest.approx(1.0)
+    assert oracle.distance(0, 2) == pytest.approx(2.0)
 
 
 def test_matrix_mode_roundtrips_euclidean():

@@ -136,20 +136,6 @@ def test_vary_alpha_cycles_listed_alphas():
     assert [r.alpha for r in report.rows] == [0.5, 1.0, 0.5, 1.0]
 
 
-def test_workers_do_not_change_results():
-    inst = gen_random(GenSpec(family="random", n=80, m=4, budgets=4, overlap=2, seed=3))
-    algos = [SolverConfig(algorithm=Algorithm.GP),
-             SolverConfig(algorithm=Algorithm.RN),
-             SolverConfig(algorithm=Algorithm.GELMS)]
-    seq = run_experiment(ExperimentSpec(instance=inst, algorithms=algos,
-                                        runs=4, workers=1))
-    par = run_experiment(ExperimentSpec(instance=inst, algorithms=algos,
-                                        runs=4, workers=4))
-    for a, b in zip(seq.rows, par.rows):
-        assert (a.label, a.run, a.combined, a.normalized) == \
-               (b.label, b.run, b.combined, b.normalized)
-
-
 def test_experiment_deterministic():
     inst = gen_random(GenSpec(family="random", n=60, m=3, budgets=3, overlap=2, seed=8))
     spec = ExperimentSpec(instance=inst,

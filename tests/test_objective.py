@@ -116,8 +116,8 @@ def test_pair_gain_combined_example():
                     clusters=[Cluster(id=0, members=(0, 1), budget=4)],
                     metric="jaccard", lam=1.0,
                     quality=QualityFunction.coverage([K1, K2]))
-    # quality union 3, plus 2 * (4 - 1) * 2/3
-    assert pair_gain_combined(inst, [set()], 0, 0, 1) == pytest.approx(7.0)
+    # quality union 3, plus (4 - 1) * 2/3
+    assert pair_gain_combined(inst, [set()], 0, 0, 1) == pytest.approx(5.0)
 
 
 def test_pair_gain_combined_zero_quality():
@@ -125,7 +125,10 @@ def test_pair_gain_combined_zero_quality():
     inst = Instance(n=2, feature_kind="matrix", features=None, distance_matrix=M,
                     clusters=[Cluster(id=0, members=(0, 1), budget=2)],
                     metric="matrix", lam=1.0)
-    assert pair_gain_combined(inst, [set()], 0, 0, 1) == pytest.approx(3.0)
+    # (2 - 1) * 1.5, the same as the dispersion-only pair weight
+    assert pair_gain_combined(inst, [set()], 0, 0, 1) == pytest.approx(1.5)
+    assert pair_gain_combined(inst, [set()], 0, 0, 1) == \
+        pair_gain_dispersion(inst, [set()], 0, 0, 1)
 
 
 def test_pair_gain_combined_lambda_zero_is_marginal_pair():

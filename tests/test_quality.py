@@ -99,6 +99,24 @@ def test_state_tracks_plain_functions():
             assert st.value() == pytest.approx(value(q, sel))
 
 
+def test_state_marginal_pair_matches_plain_function():
+    rng = np.random.default_rng(14)
+    covers = [frozenset(rng.choice(10, size=3).tolist()) for _ in range(12)]
+    for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(12)),
+              QualityFunction.coverage(covers)):
+        st = QualityState(q, 12)
+        sel = [1, 4, 6]
+        for v in sel:
+            st.add(v)
+        for u in (0, 4):
+            vs = np.array([v for v in range(12) if v != u])
+            got = st.marginal_pair(u, vs)
+            want = [marginal_pair(q, sel, u, int(v)) for v in vs]
+            assert got == pytest.approx(want)
+        with pytest.raises(ValueError):
+            st.marginal_pair(2, np.array([3, 2]))
+
+
 def test_state_marginal_vec():
     q = QualityFunction.coverage([K1, K2, frozenset({"s9"})])
     st = QualityState(q, 3)

@@ -1,13 +1,16 @@
 """Selection algorithms and the exact oracle."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from divmax import (Algorithm, Cluster, GenSpec, Instance, OddPolicy, OracleLimitError,
                     QualityFunction, Solution, SolverConfig, alpha_acceptable,
-                    approximation_ratio, combined_objective, gen_fig1, intra_dispersion,
-                    is_feasible, replay_trace, solve, solve_exact, solve_gelms,
-                    solve_gp, solve_gpa, solve_lsi, solve_mc, solve_rn)
+                    approximation_ratio, combined_objective, gen_fig1, gen_random,
+                    intra_dispersion, is_feasible, pair_gain_combined, replay_trace,
+                    solve, solve_exact, solve_gelms, solve_gp, solve_gpa, solve_lsi,
+                    solve_mc, solve_rn)
 
 
 def points_instance(coords, clusters, **kw):
@@ -79,6 +82,83 @@ def test_gp_quality_mode_fills_both_clusters_where_mc_stalls():
     assert mc_sol.fills() == [2, 0]
     assert gp_sol.fills() == [2, 2]
     assert is_feasible(inst, gp_sol) == []
+
+
+def test_first_pair_gain_is_pair_gain_combined():
+    """gp and gpa record the public pair score of the pair they add first."""
+    rng = np.random.default_rng(4)
+    base = gen_random(GenSpec(family="random", n=40, m=4, budgets=[3, 4, 5, 2],
+                              overlap=2, seed=6))
+    covers = [rng.choice(60, size=4, replace=False).tolist() for _ in range(40)]
+    inst = Instance(n=40, feature_kind="vector", features=base.features,
+                    clusters=base.clusters, metric="euclidean", lam=0.7,
+                    quality=QualityFunction.coverage(covers))
+    empty = [set() for _ in range(inst.m)]
+    for config in (SolverConfig(algorithm=Algorithm.GP),
+                   SolverConfig(algorithm=Algorithm.GPA, alpha=1.0)):
+        _, trace = solve(inst, config)
+        e = trace.events[0]
+        assert e.kind == "pair"
+        assert e.gain == pair_gain_combined(inst, empty, e.cluster, *e.elements)
+
+
+def test_no_pair_from_a_single_free_cell():
+    """Cluster 0's free members all share one cell once cluster 1 takes 3.
+
+    A pair scored -inf must never be added: the cluster stays empty and the
+    solution feasible, in dispersion and quality mode alike.
+    """
+    coords = [0.0, 0.1, 0.2, 10.0, 30.0]
+    clusters = [((0, 1, 2, 3), 2), ((3, 4), 2)]
+    covers = [[k] for k in range(5)]
+    zero = points_instance(coords, clusters, partition=[0, 0, 0, 1, 2])
+    cov = points_instance(coords, clusters, partition=[0, 0, 0, 1, 2],
+                          quality=QualityFunction.coverage(covers))
+    configs = [SolverConfig(algorithm=Algorithm.GP),
+               SolverConfig(algorithm=Algorithm.GPA, alpha=1.0),
+               SolverConfig(algorithm=Algorithm.GPA, enhanced=True)]
+    for inst in (zero, cov):
+        for config in configs:
+            sol, trace = solve(inst, config)
+            assert sol.selected == ((), (3, 4)), (inst.quality.kind, config)
+            assert is_feasible(inst, sol) == []
+            assert all(np.isfinite(e.gain) for e in trace.events)
+
+
+def _brute_force_best(inst):
+    """Best combined objective over every per-cluster choice, by enumeration."""
+    options = [[c for k in range(min(cl.budget, len(cl.members)) + 1)
+                for c in combinations(cl.members, k)] for cl in inst.clusters]
+    best = None
+    for choice in product(*options):
+        sol = Solution.from_sets(choice)
+        if is_feasible(inst, sol):
+            continue
+        val = combined_objective(inst, sol).combined
+        if best is None or val > best[0] + 1e-12:
+            best = (val, sol)
+    return best
+
+
+def test_exact_beyond_63_elements_matches_enumeration():
+    """Ids above 63 need bitmasks wider than 64 bits; Python ints have them."""
+    rng = np.random.default_rng(80)
+    for seed in range(5):
+        pts = rng.random((80, 2))
+        pool = rng.choice(np.arange(40, 80), size=10, replace=False)
+        clusters = [(tuple(pool[:5]), 2), (tuple(pool[3:8]), 3), (tuple(pool[6:]), 2)]
+        kw = {}
+        if seed % 2:
+            kw["partition"] = rng.integers(0, 30, size=80).tolist()
+        if seed >= 3:
+            kw["quality"] = QualityFunction.coverage(
+                [rng.choice(20, size=2, replace=False).tolist() for _ in range(80)])
+        inst = points_instance(pts, clusters, **kw)
+        sol, val = solve_exact(inst)
+        want_val, want_sol = _brute_force_best(inst)
+        assert val == pytest.approx(want_val, abs=1e-12)
+        assert sol.selected == want_sol.selected
+        assert is_feasible(inst, sol) == []
 
 
 def test_gpa_single_cluster_within_twice_diameter():
