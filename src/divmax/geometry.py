@@ -7,6 +7,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .quality import incidence
+
 VALID_METRICS = ("euclidean", "cosine", "jaccard", "matrix")
 
 # Full pairwise matrices are precomputed up to this many elements; above it
@@ -14,14 +16,6 @@ VALID_METRICS = ("euclidean", "cosine", "jaccard", "matrix")
 CACHE_LIMIT = 4096
 
 COSINE_NORM_TOL = 1e-6
-
-
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 0.0
-    inter = len(a & b)
-    union = len(a) + len(b) - inter
-    return 1.0 - inter / union
 
 
 class DistanceOracle:
@@ -49,7 +43,7 @@ class DistanceOracle:
             raise ValueError(f"unknown metric: {metric!r}")
         self.metric = metric
         self._X = None
-        self._sets = None
+        self._inc = None
         self._matrix = None
         self._cache = None
 
@@ -68,8 +62,9 @@ class DistanceOracle:
                         f"has norm {norms[bad[0]]:.9g}"
                     )
         elif metric == "jaccard":
-            self._sets = [frozenset(s) for s in features]
-            self.n = len(self._sets)
+            self._inc = incidence(features)
+            self._sizes = np.diff(self._inc.indptr)
+            self.n = self._inc.shape[0]
         else:
             if matrix is None:
                 raise ValueError("matrix metric needs a distance matrix")
@@ -85,26 +80,23 @@ class DistanceOracle:
         elif self.metric == "cosine":
             D = np.clip(1.0 - self._X @ self._X.T, 0.0, None)
         elif self.metric == "jaccard":
-            items = sorted({item for s in self._sets for item in s}, key=repr)
-            index = {item: k for k, item in enumerate(items)}
-            B = np.zeros((self.n, max(len(items), 1)))
-            for i, s in enumerate(self._sets):
-                for item in s:
-                    B[i, index[item]] = 1.0
-            sizes = B.sum(axis=1)
-            inter = B @ B.T
-            union = sizes[:, None] + sizes[None, :] - inter
-            with np.errstate(invalid="ignore", divide="ignore"):
-                D = 1.0 - np.where(union > 0, inter / union, 1.0)
-            D = np.clip(D, 0.0, None)
+            D = self._jaccard_block(slice(None), slice(None))
         else:
             if isinstance(self._matrix, np.ndarray):
                 D = np.asarray(self._matrix, dtype=float)
+                if np.may_share_memory(D, self._matrix) and D.diagonal().any():
+                    D = D.copy()  # zero the diagonal below, not in the caller's matrix
             else:
                 ids = np.arange(self.n)
                 D = np.asarray(self._matrix[np.ix_(ids, ids)], dtype=float)
         np.fill_diagonal(D, 0.0)
         return D
+
+    def _jaccard_block(self, a, b) -> np.ndarray:
+        """Jaccard distances from each id of a (rows) to each id of b (columns)."""
+        inter = (self._inc[a] @ self._inc[b].T).toarray()
+        union = self._sizes[a][:, None] + self._sizes[b][None, :] - inter
+        return 1.0 - np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -122,7 +114,7 @@ class DistanceOracle:
         if self.metric == "cosine":
             return float(max(1.0 - float(self._X[u] @ self._X[v]), 0.0))
         if self.metric == "jaccard":
-            return _jaccard(self._sets[u], self._sets[v])
+            return float(self._jaccard_block([u], [v])[0, 0])
         return float(self._matrix[u, v])
 
     def row(self, u: int, ids) -> np.ndarray:
@@ -136,8 +128,7 @@ class DistanceOracle:
         elif self.metric == "cosine":
             out = np.clip(1.0 - self._X[ids] @ self._X[u], 0.0, None)
         elif self.metric == "jaccard":
-            su = self._sets[u]
-            out = np.array([_jaccard(su, self._sets[int(v)]) for v in ids])
+            out = self._jaccard_block([u], ids)[0]
         else:
             out = np.asarray(self._matrix[u, ids], dtype=float)
         out[ids == u] = 0.0
@@ -154,13 +145,7 @@ class DistanceOracle:
             Xi = self._X[ids]
             D = np.clip(1.0 - Xi @ Xi.T, 0.0, None)
         elif self.metric == "jaccard":
-            k = len(ids)
-            D = np.zeros((k, k))
-            for a in range(k):
-                for b in range(a + 1, k):
-                    D[a, b] = D[b, a] = _jaccard(
-                        self._sets[int(ids[a])], self._sets[int(ids[b])]
-                    )
+            D = self._jaccard_block(ids, ids)
         else:
             D = np.asarray(self._matrix[np.ix_(ids, ids)], dtype=float)
         np.fill_diagonal(D, 0.0)

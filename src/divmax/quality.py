@@ -7,11 +7,11 @@ sets). All three are monotone and submodular, which the solvers rely on.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 VALID_KINDS = ("zero", "modular", "coverage")
 
@@ -69,6 +69,19 @@ class QualityFunction:
         raise ValueError(f"unknown quality kind: {kind!r}")
 
 
+def incidence(sets) -> sparse.csr_matrix:
+    """Element-by-item 0/1 CSR matrix of item sets, items numbered by first use.
+
+    Items may be any hashable values; a repeated item counts once.
+    """
+    index: dict = {}
+    rows = [sorted({index.setdefault(item, len(index)) for item in s}) for s in sets]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([k for r in rows for k in r], dtype=int)
+    return sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(len(rows), len(index)))
+
+
 def value(q: QualityFunction, selected: Iterable[int]) -> float:
     """Quality of a set of elements.
 
@@ -120,9 +133,9 @@ def marginal_pair(q: QualityFunction, selected: Iterable[int], u: int, v: int) -
 class QualityState:
     """Incremental quality evaluation for one solver run.
 
-    Tracks the globally selected set and answers value / marginal queries in
-    time proportional to the touched cover sets instead of the whole
-    selection. remove() exists for the round-up removal step and local search.
+    Tracks the globally selected set and, for coverage, how many selected
+    elements cover each item; a query counts a batch's items by that count.
+    remove() exists for the round-up removal step and local search.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -130,11 +143,25 @@ class QualityState:
         self.n = n
         self.in_sel = np.zeros(n, dtype=bool)
         self._total = 0.0
-        self._counts: Counter = Counter()
+        if q.kind == "coverage":
+            self._inc = incidence(q.covers)
+            self._count = np.zeros(self._inc.shape[1], dtype=int)
+
+    def _items(self, v: int) -> np.ndarray:
+        return self._inc.indices[self._inc.indptr[v]:self._inc.indptr[v + 1]]
+
+    def _entries(self, ids: np.ndarray) -> tuple:
+        """Batch position and item of every incidence entry of the elements ids."""
+        ptr = self._inc.indptr
+        lo = ptr[ids]
+        lens = ptr[ids + 1] - lo
+        pos = np.repeat(np.arange(ids.size), lens)
+        first = np.cumsum(lens) - lens  # position of each element's first entry
+        return pos, self._inc.indices[np.arange(pos.size) + np.repeat(lo - first, lens)]
 
     def value(self) -> float:
         if self.q.kind == "coverage":
-            return float(len(self._counts))
+            return float(np.count_nonzero(self._count))
         return self._total
 
     def add(self, v: int) -> None:
@@ -144,7 +171,7 @@ class QualityState:
         if self.q.kind == "modular":
             self._total += float(self.q.weights[v])
         elif self.q.kind == "coverage":
-            self._counts.update(self.q.covers[v])
+            self._count[self._items(v)] += 1
 
     def remove(self, v: int) -> None:
         if not self.in_sel[v]:
@@ -153,15 +180,14 @@ class QualityState:
         if self.q.kind == "modular":
             self._total -= float(self.q.weights[v])
         elif self.q.kind == "coverage":
-            self._counts.subtract(self.q.covers[v])
-            self._counts += Counter()  # drop zero entries
+            self._count[self._items(v)] -= 1
 
     def marginal(self, v: int) -> float:
         if self.in_sel[v] or self.q.kind == "zero":
             return 0.0
         if self.q.kind == "modular":
             return float(self.q.weights[v])
-        return float(sum(1 for item in self.q.covers[v] if self._counts[item] == 0))
+        return float(np.count_nonzero(self._count[self._items(v)] == 0))
 
     def marginal_vec(self, ids: np.ndarray) -> np.ndarray:
         """Vector of marginal gains for a batch of candidate elements."""
@@ -169,7 +195,9 @@ class QualityState:
             return np.zeros(len(ids))
         if self.q.kind == "modular":
             return np.where(self.in_sel[ids], 0.0, self.q.weights[ids])
-        return np.array([self.marginal(int(v)) for v in ids])
+        # a selected element covers no uncovered item
+        pos, items = self._entries(ids)
+        return np.bincount(pos[self._count[items] == 0], minlength=ids.size).astype(float)
 
     def swap_delta(self, outs: np.ndarray, inns: np.ndarray) -> np.ndarray:
         """Matrix of value changes for swapping a selected out for an unselected inn.
@@ -185,43 +213,39 @@ class QualityState:
         if self.q.kind == "modular":
             w = self.q.weights
             return w[inns][None, :] - w[outs][:, None]
-        # An item that only outs[a] covers is lost, unless inns[i] covers it too.
-        counts = self._counts
-        owner = {}
-        lost = np.zeros(outs.size)
-        for a, v in enumerate(outs):
-            for item in self.q.covers[v]:
-                if counts.get(item) == 1:
-                    owner[item] = a
-                    lost[a] += 1
-        kept = np.zeros((outs.size, inns.size))
-        gained = np.zeros(inns.size)
-        for i, v in enumerate(inns):
-            g = 0
-            for item in self.q.covers[v]:
-                c = counts.get(item, 0)
-                if c == 0:
-                    g += 1
-                elif c == 1 and item in owner:
-                    kept[owner[item], i] += 1
-            gained[i] = g
-        return gained[None, :] - (lost[:, None] - kept)
+        # drop outs[a] for a moment: items left uncovered are lost, inns[i] gains those it covers
+        pos, items = self._entries(inns)
+        delta = np.empty((outs.size, inns.size))
+        for a, out in enumerate(outs):
+            mine = self._items(out)
+            self._count[mine] -= 1
+            delta[a] = (np.bincount(pos[self._count[items] == 0], minlength=inns.size)
+                        - np.count_nonzero(self._count[mine] == 0))
+            self._count[mine] += 1
+        return delta
 
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding u together with each element of vs."""
         vs = np.asarray(vs, dtype=int)
         if np.any(vs == u):
             raise ValueError("marginal_pair needs two distinct elements")
-        if self.q.kind == "zero":
-            return np.zeros(vs.size)
         mu = self.marginal(u)
-        if self.q.kind == "modular":
+        if self.q.kind != "coverage":
             return mu + self.marginal_vec(vs)
-        cov_u = self.q.covers[u] if not self.in_sel[u] else frozenset()
-        counts = self._counts
-        extra = [
-            0 if self.in_sel[v] else sum(
-                1 for item in self.q.covers[v] if counts[item] == 0 and item not in cov_u)
-            for v in vs
-        ]
-        return mu + np.asarray(extra, dtype=float)
+        # an item of v is new when it is uncovered and u does not cover it
+        pos, items = self._entries(vs)
+        new = (self._count[items] == 0) & ~np.isin(items, self._items(u))
+        return mu + np.bincount(pos[new], minlength=vs.size)
+
+    def marginal_block(self, ids: np.ndarray) -> np.ndarray:
+        """Joint marginal gains of every pair of ids: [a, b] = marginal_pair(ids[a], [ids[b]]).
+
+        That is m_a + m_b minus the uncovered items both cover; the diagonal
+        carries no meaning.
+        """
+        m = self.marginal_vec(ids)
+        block = m[:, None] + m[None, :]
+        if self.q.kind == "coverage":
+            U = self._inc[ids].multiply(self._count == 0)  # uncovered items only
+            block -= (U @ U.T).toarray()
+        return block

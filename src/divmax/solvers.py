@@ -122,7 +122,6 @@ class _State:
         self.member_sets = [set(c.members) for c in instance.clusters]
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
-        self.order = []  # chronological (element, cluster) additions
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
         self.events = []
         self.algorithm = algorithm
@@ -136,13 +135,11 @@ class _State:
 
     def _add(self, j: int, v: int) -> None:
         self.sel[j].add(v)
-        self.order.append((v, j))
         self.qstate.add(v)
         self.load[self.cells[v]] += 1
 
     def _drop(self, j: int, v: int) -> None:
         self.sel[j].discard(v)
-        self.order = [(w, c) for (w, c) in self.order if w != v]
         self.qstate.remove(v)
         self.load[self.cells[v]] -= 1
 
@@ -206,10 +203,10 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int, lam: float):
     D = st.oracle.pairwise(ids)
     cells = st.cells[ids]
     same = cells[:, None] == cells[None, :]
-    best = None
     if not qmode:
         # raw distances, scaled after the argmax: a zero weight must not tie
         D[same] = -np.inf
+        best = None
         for a in range(k):
             Da = D[a]
             for bb in range(a + 1, k):
@@ -219,16 +216,12 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int, lam: float):
         if best[0] == -np.inf:
             return None
         return (weight - 1) * float(best[0]), int(ids[best[1]]), int(ids[best[2]])
-    for a in range(k - 1):
-        g = objective.pair_score(
-            st.qstate.marginal_pair(int(ids[a]), ids[a + 1:]), lam, weight, D[a, a + 1:])
-        g[same[a, a + 1:]] = -np.inf
-        i = int(np.argmax(g))
-        if best is None or g[i] > best[0]:
-            best = (g[i], a, a + 1 + i)
-    if best[0] == -np.inf:
+    g = objective.pair_score(st.qstate.marginal_block(ids), lam, weight, D)
+    g[same | np.tri(k, dtype=bool)] = -np.inf
+    a, b = divmod(int(np.argmax(g)), k)
+    if g[a, b] == -np.inf:
         return None
-    return float(best[0]), int(ids[best[1]]), int(ids[best[2]])
+    return float(g[a, b]), int(ids[a]), int(ids[b])
 
 
 def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -> None:
@@ -248,7 +241,8 @@ def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -
             k = int(np.argmax(dsums))
             st.add_single(j, int(ids[k]), float(dsums[k]))
     else:
-        snapshot = list(st.order)
+        # only pair events precede this phase, each adding u, then v
+        snapshot = [(v, e.cluster) for e in st.events for v in e.elements]
         for j in range(st.m):
             if len(st.sel[j]) <= budgets[j]:
                 continue
@@ -711,12 +705,8 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
                 tab = np.concatenate([tab, tab + float(q.weights[v])])
             qtab = tab
         else:
-            items = sorted({item for s in q.covers for item in s}, key=repr)
-            index = {item: k for k, item in enumerate(items)}
-            covm = [0] * n
-            for v in range(n):
-                for item in q.covers[v]:
-                    covm[v] |= 1 << index[item]
+            inc = qual.incidence(q.covers)
+            covm = [sum(1 << int(k) for k in inc[v].indices) for v in range(n)]
             usize = [0] * (1 << n)
             umask = [0] * (1 << n)
             for mask in range(1, 1 << n):

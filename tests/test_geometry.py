@@ -59,6 +59,21 @@ def test_cached_and_on_demand_agree():
     ids = np.array([2, 7, 11, 29])
     assert np.allclose(cached.pairwise(ids), lazy.pairwise(ids))
     assert np.allclose(cached.row(7, ids), lazy.row(7, ids))
+    # Jaccard over int and string items with empty sets: equal to the last bit
+    sets = [rng.choice(9, size=int(rng.integers(0, 5)), replace=False).tolist()
+            for _ in range(30)]
+    sets = [[f"s{x}" if x % 2 else x for x in s] for s in sets] + [[], []]
+    cached = DistanceOracle("jaccard", features=sets)
+    lazy = DistanceOracle("jaccard", features=sets, cache_limit=0)
+    ids = np.array([2, 7, 11, 29, 30, 31])
+    assert np.array_equal(cached.pairwise(ids), lazy.pairwise(ids))
+    for u in ids:
+        assert np.array_equal(cached.row(int(u), ids), lazy.row(int(u), ids))
+    for u in range(32):
+        for v in range(32):
+            want = len(set(sets[u]) & set(sets[v])) / max(len(set(sets[u]) | set(sets[v])), 1)
+            assert cached.distance(u, v) == lazy.distance(u, v) == (
+                1.0 - want if sets[u] or sets[v] else 0.0)
 
 
 def test_set_distance_sum():

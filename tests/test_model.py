@@ -55,6 +55,22 @@ def test_validate_asymmetric_matrix():
     assert any(v.kind == "metric" and "asymmetric" in v.message for v in report)
 
 
+def test_oracle_leaves_the_callers_matrix_alone():
+    M = np.array([[0.5, 1.0], [1.0, 0.0]])
+    inst = Instance(n=2, feature_kind="matrix", features=None, distance_matrix=M,
+                    clusters=[Cluster(id=0, members=(0, 1), budget=1)], metric="matrix")
+    before = [v.message for v in validate_instance(inst)]
+    assert before == ["nonzero diagonal at (0, 0)"]
+    assert inst.oracle().distance(0, 0) == 0.0
+    assert [v.message for v in validate_instance(inst)] == before
+    assert M[0, 0] == 0.5
+    # a valid float matrix is used as it is, without a copy
+    Z = np.array([[0.0, 1.0], [1.0, 0.0]])
+    inst = Instance(n=2, feature_kind="matrix", features=None, distance_matrix=Z,
+                    clusters=[Cluster(id=0, members=(0, 1), budget=1)], metric="matrix")
+    assert np.shares_memory(inst.oracle()._cache, Z)
+
+
 def test_validate_budget_type():
     inst = line_instance()
     inst.clusters[0] = Cluster(id=0, members=(0, 1), budget=-1)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from divmax import QualityFunction, value, marginal, marginal_pair
-from divmax.quality import QualityState
+from divmax.quality import QualityState, incidence
 
 K1 = frozenset({"s1", "s2"})
 K2 = frozenset({"s2", "s3"})
+
+
+def mixed_covers(rng, n, universe):
+    """n covers of 3 draws over int and string items; the last cover is empty."""
+    return [frozenset(x if x % 2 else f"i{x}" for x in rng.choice(universe, size=3).tolist())
+            for _ in range(n - 1)] + [frozenset()]
 
 
 def test_zero_kind():
@@ -80,14 +86,20 @@ def test_invalid_kind_rejected():
         QualityFunction(kind="spectral")
 
 
+def test_incidence_numbers_items_by_first_use():
+    B = incidence([["b", 3], [], [3, "b", 3, "z"]])
+    assert B.shape == (3, 3)
+    assert B.toarray().tolist() == [[1, 1, 0], [0, 0, 0], [1, 1, 1]]
+
+
 def test_state_tracks_plain_functions():
     rng = np.random.default_rng(9)
-    covers = [frozenset(rng.choice(12, size=3).tolist()) for _ in range(15)]
+    covers = mixed_covers(rng, 15, 12)
     for q in (QualityFunction.modular(rng.random(15)),
               QualityFunction.coverage(covers)):
         st = QualityState(q, 15)
         sel = []
-        for v in rng.permutation(15)[:8]:
+        for v in [14] + rng.permutation(14)[:7].tolist():
             v = int(v)
             assert st.marginal(v) == pytest.approx(marginal(q, sel, v))
             st.add(v)
@@ -101,18 +113,24 @@ def test_state_tracks_plain_functions():
 
 def test_state_marginal_pair_matches_plain_function():
     rng = np.random.default_rng(14)
-    covers = [frozenset(rng.choice(10, size=3).tolist()) for _ in range(12)]
+    covers = mixed_covers(rng, 12, 10)
     for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(12)),
               QualityFunction.coverage(covers)):
         st = QualityState(q, 12)
         sel = [1, 4, 6]
         for v in sel:
             st.add(v)
-        for u in (0, 4):
+        # u = 4 and v in sel are already selected; 11 has an empty cover
+        for u in (0, 4, 11):
             vs = np.array([v for v in range(12) if v != u])
             got = st.marginal_pair(u, vs)
             want = [marginal_pair(q, sel, u, int(v)) for v in vs]
             assert got == pytest.approx(want)
+        block = st.marginal_block(np.arange(12))
+        for u in range(12):
+            for v in range(12):
+                if u != v:
+                    assert block[u, v] == pytest.approx(marginal_pair(q, sel, u, v))
         with pytest.raises(ValueError):
             st.marginal_pair(2, np.array([3, 2]))
 
@@ -130,24 +148,24 @@ def test_state_marginal_vec():
 def test_state_swap_delta_matches_value():
     # 0 and 1 share s2: swapping 0 for 1 keeps s2, loses s1, gains s3
     rng = np.random.default_rng(12)
-    covers = [K1, K2, frozenset({"s1"})] + [
-        frozenset(rng.choice(10, size=3).tolist()) for _ in range(9)]
+    covers = [K1, K2, frozenset({"s1"})] + mixed_covers(rng, 9, 10)
     for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(12)),
               QualityFunction.coverage(covers)):
         st = QualityState(q, 12)
         sel = [0, 4, 5, 7]
         for v in sel:
             st.add(v)
-        outs = np.array(sel)
         inns = np.array([1, 2, 3, 6, 8, 9, 10, 11])
-        D = st.swap_delta(outs, inns)
-        assert D.shape == (4, 8)
-        for a, out in enumerate(sel):
-            rest = [v for v in sel if v != out]
-            for i, inn in enumerate(inns.tolist()):
-                want = value(q, rest + [inn]) - value(q, sel)
-                assert D[a, i] == pytest.approx(want)
-    assert D[0, 0] == 0.0
+        # sel[1:] leaves 0 out: s1 stays covered once by 0, and inn 2 covers it
+        for outs in (sel, sel[1:]):
+            D = st.swap_delta(np.array(outs), inns)
+            assert D.shape == (len(outs), 8)
+            for a, out in enumerate(outs):
+                rest = [v for v in sel if v != out]
+                for i, inn in enumerate(inns.tolist()):
+                    want = value(q, rest + [inn]) - value(q, sel)
+                    assert D[a, i] == pytest.approx(want)
+    assert st.swap_delta(np.array([0]), np.array([1]))[0, 0] == 0.0
 
 
 def test_monotone_and_submodular_sampled():
