@@ -11,6 +11,10 @@ Regenerate only for a deliberate behaviour change, and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/golden/record.py
+
+A new case is recorded on its own, leaving every other file as it is:
+
+    PYTHONPATH=src python tests/golden/record.py <case> [<case> ...]
 """
 
 from __future__ import annotations
@@ -117,13 +121,23 @@ def _small_cases() -> dict:
         tiny, quality=_covers(12, 20, 3, 42), partition=_cells(12, 8, 43))
     cases["tiny-modular"] = dataclasses.replace(tiny, quality=_modular(12, 44))
     cases["tiny-zero-cells"] = dataclasses.replace(tiny, partition=_cells(12, 8, 45))
+    # budgets 9, 11, 13: the ALG1 odd phase sums 8 or more peers and local
+    # search reads 8 or more reference rows, where numpy's pairwise summation
+    # order shows in the last bit
+    odd = _random(60, 3, [9, 11, 13], seed=71)
+    cases["odd-zero"] = odd
+    cases["odd-coverage-cells"] = dataclasses.replace(
+        odd, quality=_quality("coverage", 60, 72), partition=_cells(60, 120, 73))
     return cases
 
 
 # Above geometry.CACHE_LIMIT the oracle computes rows and blocks on demand,
 # and pairwise, row and distance may differ in the last bit; the first few
 # clusters keep the pair scans small. The dim-10 case is one where swapping
-# one of those oracle calls for another changes recorded gains.
+# one of those oracle calls for another changes recorded gains. The cosine
+# case has odd budgets that leave |S_j| mod 4 != 0 for the ALG1 odd phase:
+# there d(u, v) computed as a row of u and as a row of v may differ in the
+# last bit (BLAS rounds the tail rows of a matrix-vector product apart).
 UNCACHED = {
     "uncached-coverage-cells": {
         "genspec": {"family": "random", "n": 4200, "m": 140, "budgets": [4, 5, 4, 3],
@@ -134,6 +148,11 @@ UNCACHED = {
                     "overlap": 1, "seed": 52, "dim": 10},
         "clusters": 6, "covers_seed": 52, "cover_size": 1, "cells": 2000, "cells_seed": 53,
         "lambda": 3.0},
+    "uncached-cosine-dim10": {
+        "genspec": {"family": "random", "n": 4200, "m": 140, "budgets": [7, 11, 11, 7],
+                    "overlap": 1, "seed": 54, "dim": 10},
+        "clusters": 4, "metric": "cosine",
+        "configs": ["gp-alg1", "gpa-a1-alg1", "gpa-enh-alg1", "lsi", "lsg"]},
 }
 
 
@@ -144,17 +163,24 @@ def build_uncached(recipe: dict):
     spec["budgets"] = (budgets * m)[:m]
     inst = instgen.gen_random(GenSpec(**spec))
     n = inst.n
-    return dataclasses.replace(
-        inst, clusters=inst.clusters[:recipe["clusters"]],
-        quality=_covers(n, 3 * n, recipe.get("cover_size", 4), recipe["covers_seed"]),
-        partition=_cells(n, recipe["cells"], recipe["cells_seed"]),
-        lam=recipe.get("lambda", 1.0))
+    inst = dataclasses.replace(inst, clusters=inst.clusters[:recipe["clusters"]],
+                               lam=recipe.get("lambda", 1.0))
+    if recipe.get("metric") == "cosine":
+        # centred, then scaled to unit norm
+        X = inst.features - 0.5
+        inst = dataclasses.replace(
+            inst, metric="cosine", features=X / np.linalg.norm(X, axis=1)[:, None])
+    if "covers_seed" in recipe:
+        inst = dataclasses.replace(
+            inst, quality=_covers(n, 3 * n, recipe.get("cover_size", 4), recipe["covers_seed"]),
+            partition=_cells(n, recipe["cells"], recipe["cells_seed"]))
+    return inst
 
 
 def configs_for(name: str, inst) -> list:
     """Config names that a case runs; exact only where it is cheap."""
     if name in UNCACHED:
-        return list(PAIR_CONFIGS)
+        return list(UNCACHED[name].get("configs", PAIR_CONFIGS))
     names = [c for c in CONFIGS if c != "exact"]
     if inst.n <= 12:
         names.append("exact")
@@ -213,10 +239,17 @@ def solve_case(name: str) -> str:
     return render(payload)
 
 
-def main() -> int:
-    for name, inst in _small_cases().items():
-        harness.save_instance(instance_path(name), inst)
-    for name in case_names():
+def main(argv: list) -> int:
+    small = _small_cases()
+    names = argv or list(small) + sorted(UNCACHED)
+    unknown = [name for name in names if name not in small and name not in UNCACHED]
+    if unknown:
+        print(f"unknown case: {unknown[0]}", file=sys.stderr)
+        return 2
+    for name in names:
+        if name in small:
+            harness.save_instance(instance_path(name), small[name])
+    for name in names:
         with open(expected_path(name), "w") as fh:
             fh.write(solve_case(name))
         print(f"wrote {name}")
@@ -224,4 +257,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
