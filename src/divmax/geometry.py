@@ -35,6 +35,13 @@ class DistanceOracle:
     When n <= cache_limit a dense matrix is built eagerly so later lookups
     are array slices; the oracle is immutable and safe to share across
     threads after construction.
+
+    rows(us, ids) is the block form of row: a new C-contiguous
+    (len(us), len(ids)) array whose row i equals row(us[i], ids) bit for bit,
+    zero where ids == us[i] included, and ids out of range on either side
+    raise IndexError. Its row sums therefore equal the sums of the single
+    rows too. Above cache_limit, pairwise, row and distance may differ from
+    one another in the last bit.
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -102,6 +109,13 @@ class DistanceOracle:
         if not 0 <= u < self.n:
             raise IndexError(f"element id {u} out of range [0, {self.n})")
 
+    def _check_all(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=int)
+        bad = ids[(ids < 0) | (ids >= self.n)]
+        if bad.size:
+            self._check(int(bad[0]))
+        return ids
+
     def distance(self, u: int, v: int) -> float:
         self._check(u)
         self._check(v)
@@ -132,6 +146,29 @@ class DistanceOracle:
         else:
             out = np.asarray(self._matrix[u, ids], dtype=float)
         out[ids == u] = 0.0
+        return out
+
+    def rows(self, us, ids) -> np.ndarray:
+        """Distances from each element of us (rows) to each element of ids."""
+        us = self._check_all(us)
+        ids = self._check_all(ids)
+        if self._cache is not None:
+            return self._cache[np.ix_(us, ids)]
+        if self.metric == "jaccard":
+            out = self._jaccard_block(us, ids)
+        elif self.metric == "matrix":
+            out = np.array(self._matrix[np.ix_(us, ids)], dtype=float)
+        else:
+            # One row per element of the shorter side. A euclidean row of v
+            # transposes bit for bit, since v - u is u - v negated exactly; a
+            # cosine one does not (BLAS rounds a product's tail rows apart).
+            flip = self.metric == "euclidean" and ids.size < us.size
+            a, b = (ids, us) if flip else (us, ids)
+            out = np.empty((a.size, b.size))
+            for i, u in enumerate(a):
+                out[i] = self.row(int(u), b)
+            return np.ascontiguousarray(out.T) if flip else out
+        out[us[:, None] == ids[None, :]] = 0.0
         return out
 
     def pairwise(self, ids) -> np.ndarray:

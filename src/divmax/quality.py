@@ -37,6 +37,13 @@ class QualityFunction:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown quality kind: {self.kind!r}")
+        self._inc = None
+
+    def cover_incidence(self) -> sparse.csr_matrix:
+        """incidence(covers), built on first use and shared by later callers."""
+        if self._inc is None:
+            self._inc = incidence(self.covers)
+        return self._inc
 
     @staticmethod
     def zero() -> "QualityFunction":
@@ -144,7 +151,7 @@ class QualityState:
         self.in_sel = np.zeros(n, dtype=bool)
         self._total = 0.0
         if q.kind == "coverage":
-            self._inc = incidence(q.covers)
+            self._inc = q.cover_incidence()
             self._count = np.zeros(self._inc.shape[1], dtype=int)
 
     def _items(self, v: int) -> np.ndarray:

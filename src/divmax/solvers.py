@@ -119,7 +119,9 @@ class _State:
         self.cells = instance.cell_of()
         self.members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
         self.member_cells = [self.cells[ids] for ids in self.members]
-        self.member_sets = [set(c.members) for c in instance.clusters]
+        self.member_of = np.zeros((self.m, self.n), dtype=bool)
+        for j, ids in enumerate(self.members):
+            self.member_of[j, ids] = True
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -235,7 +237,7 @@ def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -
                 continue
             if st.sel[j]:
                 peers = np.asarray(sorted(st.sel[j]), dtype=int)
-                dsums = np.array([st.oracle.row(int(v), peers).sum() for v in ids])
+                dsums = st.oracle.rows(ids, peers).sum(axis=1)
             else:
                 dsums = np.zeros(ids.size)
             k = int(np.argmax(dsums))
@@ -352,10 +354,10 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
     uncovered = set(unsat)
     cands = []
 
-    def home(elig: list, y: int) -> int:
-        """The eligible cluster holding y with the largest budget, then lowest id."""
-        return max((j for j in elig if y in st.member_sets[j]),
-                   key=lambda j: (budgets[j], -j))
+    def home(elig: list, ys: np.ndarray) -> np.ndarray:
+        """Per y, the eligible cluster holding it with the largest budget, then lowest id."""
+        order = np.array(sorted(elig, key=lambda j: (-budgets[j], j)))
+        return order[np.argmax(st.member_of[np.ix_(order, ys)], axis=0)]
 
     while uncovered:
         pick = None
@@ -370,7 +372,7 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
         if pick is None:
             break
         _, jx, x = pick
-        elig = [j for j in unsat if x in st.member_sets[j]]
+        elig = [j for j in unsat if st.member_of[j, x]]
         pool = np.unique(np.concatenate([st.free_members(j) for j in elig]))
         pool = _partners(st, x, pool)
         if pool.size == 0:
@@ -380,10 +382,10 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
             rows = st.oracle.row(x, pool)
             k = int(np.argmax(rows))
             y = int(pool[k])
-            cluster = home(elig, y)
+            cluster = int(home(elig, pool[k:k + 1])[0])
             gain = (weights[cluster] - 1) * float(rows[k])
         else:
-            homes = np.array([home(elig, int(y)) for y in pool])
+            homes = home(elig, pool)
             dist = np.array([st.oracle.distance(x, int(y)) for y in pool])
             score = objective.pair_score(
                 st.qstate.marginal_pair(x, pool), lam, weights[homes], dist)
@@ -563,7 +565,7 @@ def _local_search(instance: Instance, config: SolverConfig | None,
             # swapping out for inn changes the objective's distance part by
             # (t[inn] - d(out, inn)) - t[out].
             ref = outs if use_combined else union
-            R = np.array([oracle.row(int(p), mem) for p in ref])
+            R = oracle.rows(ref, mem)
             t = R.sum(axis=0)
             d_out = R[np.searchsorted(ref, outs)]
             t_out = t[np.searchsorted(mem, outs)]
@@ -705,7 +707,7 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
                 tab = np.concatenate([tab, tab + float(q.weights[v])])
             qtab = tab
         else:
-            inc = qual.incidence(q.covers)
+            inc = q.cover_incidence()
             covm = [sum(1 << int(k) for k in inc[v].indices) for v in range(n)]
             usize = [0] * (1 << n)
             umask = [0] * (1 << n)

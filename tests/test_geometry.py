@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divmax import DistanceOracle, set_distance_sum, exact_diameter, approx_diameter
+from divmax.instgen import TightDistances
 
 
 def test_euclidean_pythagoras():
@@ -74,6 +75,53 @@ def test_cached_and_on_demand_agree():
             want = len(set(sets[u]) & set(sets[v])) / max(len(set(sets[u]) | set(sets[v])), 1)
             assert cached.distance(u, v) == lazy.distance(u, v) == (
                 1.0 - want if sets[u] or sets[v] else 0.0)
+
+
+def _every_mode(n: int, seed: int) -> list:
+    """One oracle per metric and feature kind, each cached and on demand."""
+    rng = np.random.default_rng(seed)
+    kinds = []
+    for dim in (2, 10):
+        pts = rng.random((n, dim))
+        unit = (pts - 0.5) / np.linalg.norm(pts - 0.5, axis=1)[:, None]
+        kinds += [("euclidean", dict(features=pts)), ("cosine", dict(features=unit))]
+    sets = [rng.choice(12, size=int(rng.integers(0, 5)), replace=False).tolist()
+            for _ in range(n)]
+    kinds.append(("jaccard", dict(features=sets)))
+    M = rng.random((n, n))
+    kinds.append(("matrix", dict(matrix=M + M.T)))
+    kinds.append(("matrix", dict(matrix=TightDistances(q=4, eps=1e-6))))  # n = 72
+    return [DistanceOracle(metric, cache_limit=limit, **kw)
+            for metric, kw in kinds for limit in (4096, 0)]
+
+
+def test_rows_equal_stacked_rows():
+    rng = np.random.default_rng(37)
+    for oracle in _every_mode(72, 41):
+        pool = rng.choice(oracle.n, size=25, replace=False)  # draws overlap
+        for ku in range(21):
+            for ki in {0, 1, ku, 20 - ku, int(rng.integers(21))}:
+                us = rng.choice(pool, size=ku, replace=False)
+                ids = rng.choice(pool, size=ki)  # may repeat an id
+                got = oracle.rows(us, ids)
+                want = np.array([oracle.row(int(u), ids) for u in us]).reshape(ku, ki)
+                assert got.shape == (ku, ki) and got.dtype == float
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want), (oracle.metric, us, ids)
+        for us, ids in (([0, oracle.n], [1]), ([0], [1, oracle.n]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(IndexError):
+                oracle.rows(us, ids)
+
+
+def test_rows_sum_like_single_rows():
+    # numpy sums a row of a C-contiguous block in the order of a 1-d sum
+    rng = np.random.default_rng(43)
+    for oracle in _every_mode(320, 47):
+        for k in [k for k in list(range(1, 41)) + [64, 127, 128, 299] if k <= oracle.n]:
+            peers = rng.choice(oracle.n, size=k, replace=False)
+            ids = rng.choice(oracle.n, size=int(rng.integers(1, 30)), replace=False)
+            want = np.array([oracle.row(int(v), peers).sum() for v in ids])
+            assert np.array_equal(oracle.rows(ids, peers).sum(axis=1), want)
 
 
 def test_set_distance_sum():

@@ -92,6 +92,14 @@ def test_incidence_numbers_items_by_first_use():
     assert B.toarray().tolist() == [[1, 1, 0], [0, 0, 0], [1, 1, 1]]
 
 
+def test_cover_incidence_built_on_first_state_and_shared():
+    q = QualityFunction.from_dict({"kind": "coverage", "covers": [["b", 3], [], [3, "z"]]})
+    assert q._inc is None  # loading does not build it
+    a, b = QualityState(q, 3), QualityState(q, 3)
+    assert a._inc is b._inc is q.cover_incidence()
+    assert np.array_equal(q.cover_incidence().toarray(), incidence(q.covers).toarray())
+
+
 def test_state_tracks_plain_functions():
     rng = np.random.default_rng(9)
     covers = mixed_covers(rng, 15, 12)
