@@ -38,10 +38,10 @@ class DistanceOracle:
 
     rows(us, ids) is the block form of row: a new C-contiguous
     (len(us), len(ids)) array whose row i equals row(us[i], ids) bit for bit,
-    zero where ids == us[i] included, and ids out of range on either side
-    raise IndexError. Its row sums therefore equal the sums of the single
-    rows too. Above cache_limit, pairwise, row and distance may differ from
-    one another in the last bit.
+    zero where ids == us[i] included. Its row sums therefore equal the sums
+    of the single rows too. distance, row, rows and pairwise all raise
+    IndexError for an id outside [0, n). Above cache_limit, pairwise, row
+    and distance may differ from one another in the last bit.
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -110,10 +110,10 @@ class DistanceOracle:
             raise IndexError(f"element id {u} out of range [0, {self.n})")
 
     def _check_all(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=int)
-        bad = ids[(ids < 0) | (ids >= self.n)]
-        if bad.size:
-            self._check(int(bad[0]))
+        ids = np.asarray(ids, dtype=np.int64)
+        # read as unsigned, a negative id is as far out of range as one >= n
+        if ids.size and np.maximum.reduce(ids.view(np.uint64), axis=None) >= self.n:
+            self._check(int(ids[(ids < 0) | (ids >= self.n)][0]))
         return ids
 
     def distance(self, u: int, v: int) -> float:
@@ -134,10 +134,10 @@ class DistanceOracle:
     def row(self, u: int, ids) -> np.ndarray:
         """Distances from u to each element of ids, as a float array."""
         self._check(u)
-        ids = np.asarray(ids, dtype=int)
+        ids = self._check_all(ids)
         if self._cache is not None:
-            out = self._cache[u, ids].astype(float, copy=True)
-        elif self.metric == "euclidean":
+            return self._cache[u, ids]  # a new array; the cache's diagonal is zero
+        if self.metric == "euclidean":
             out = np.linalg.norm(self._X[ids] - self._X[u], axis=1)
         elif self.metric == "cosine":
             out = np.clip(1.0 - self._X[ids] @ self._X[u], 0.0, None)
@@ -173,7 +173,7 @@ class DistanceOracle:
 
     def pairwise(self, ids) -> np.ndarray:
         """Square block of pairwise distances among ids."""
-        ids = np.asarray(ids, dtype=int)
+        ids = self._check_all(ids)
         if self._cache is not None:
             return self._cache[np.ix_(ids, ids)]
         if self.metric == "euclidean":

@@ -1,9 +1,11 @@
 """Solvers for budgeted diversity maximization over overlapping clusters.
 
-All solvers are deterministic for a fixed config. Candidate comparisons break
-ties by larger gain first, then smaller cluster id, then smaller minimum
-element id, then smaller maximum element id. Randomized components draw from
-numpy's default_rng seeded by the config.
+All solvers are deterministic for a fixed config. Every choice among the
+candidates of a round goes through _pick, whose key (-gain, cluster id,
+minimum element id, maximum element id) is the one tie-break: larger gain
+first, then smaller cluster id, then smaller minimum element id, then smaller
+maximum element id. Randomized components draw from numpy's default_rng
+seeded by the config.
 
 Availability: an element is free when no selected element shares its
 partition cell. _State keeps the per-cell count of selected elements, and a
@@ -108,20 +110,31 @@ class _State:
     cell, so the same rule also excludes every element already taken. start
     seeds the selection (per-cluster collections) without trace events; q
     overrides the tracked quality function.
+
+    With sums, dsum[j][i] is the sum of distances from S_j to members[j][i],
+    kept exact through every add, remove and swap. A pair adds
+    row(u) + row(v) as one term.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
-                 q: qual.QualityFunction | None = None, start=None):
+                 q: qual.QualityFunction | None = None, start=None, sums: bool = False):
         self.inst = instance
         self.oracle = instance.oracle()
         self.n = instance.n
         self.m = instance.m
+        self.lam = float(instance.lam)
+        self.budgets = instance.budgets()
         self.cells = instance.cell_of()
         self.members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
         self.member_cells = [self.cells[ids] for ids in self.members]
+        # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
+        # counts those cells whose load is zero, which backs has_pair
         self.member_of = np.zeros((self.m, self.n), dtype=bool)
+        self.cell_in = np.zeros((self.m, self.n), dtype=bool)
         for j, ids in enumerate(self.members):
             self.member_of[j, ids] = True
+            self.cell_in[j, self.member_cells[j]] = True
+        self.empty_cells = self.cell_in.sum(axis=1)
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -131,19 +144,40 @@ class _State:
         for j, S in enumerate(start or ()):
             for v in S:
                 self._add(j, int(v))
+        self.dsum = None
+        if sums:
+            self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0)
+                         for S, ids in zip(self.sel, self.members)]
+
+    def free_mask(self, j: int) -> np.ndarray:
+        """Which members of cluster j are free, aligned with members[j]."""
+        return self.load[self.member_cells[j]] == 0
 
     def free_members(self, j: int) -> np.ndarray:
-        return self.members[j][self.load[self.member_cells[j]] == 0]
+        return self.members[j][self.free_mask(j)]
+
+    def has_pair(self, j: int) -> bool:
+        """Whether cluster j's free members span two cells; adds only turn it false."""
+        return self.empty_cells[j] >= 2
+
+    def _row(self, j: int, v: int) -> np.ndarray:
+        return self.oracle.row(v, self.members[j])
 
     def _add(self, j: int, v: int) -> None:
         self.sel[j].add(v)
         self.qstate.add(v)
-        self.load[self.cells[v]] += 1
+        c = self.cells[v]
+        if self.load[c] == 0:
+            self.empty_cells -= self.cell_in[:, c]
+        self.load[c] += 1
 
     def _drop(self, j: int, v: int) -> None:
         self.sel[j].discard(v)
         self.qstate.remove(v)
-        self.load[self.cells[v]] -= 1
+        c = self.cells[v]
+        self.load[c] -= 1
+        if self.load[c] == 0:
+            self.empty_cells += self.cell_in[:, c]
 
     def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:
         self.events.append(TraceEvent(len(self.events), kind, j, elements, gain))
@@ -151,19 +185,27 @@ class _State:
     def add_pair(self, j: int, u: int, v: int, gain: float) -> None:
         self._add(j, u)
         self._add(j, v)
+        if self.dsum is not None:
+            self.dsum[j] += self._row(j, u) + self._row(j, v)
         self._event("pair", j, (u, v), gain)
 
     def add_single(self, j: int, v: int, gain: float) -> None:
         self._add(j, v)
+        if self.dsum is not None:
+            self.dsum[j] += self._row(j, v)
         self._event("single", j, (v,), gain)
 
     def remove(self, j: int, v: int, gain: float) -> None:
         self._drop(j, v)
+        if self.dsum is not None:
+            self.dsum[j] -= self._row(j, v)
         self._event("remove", j, (v,), gain)
 
     def swap(self, j: int, out: int, inn: int, gain: float) -> None:
         self._drop(j, out)
         self._add(j, inn)
+        if self.dsum is not None:
+            self.dsum[j] += self._row(j, inn) - self._row(j, out)
         self._event("swap", j, (out, inn), gain)
 
     def finish(self) -> tuple:
@@ -191,17 +233,28 @@ def _default_policy(instance: Instance, config: SolverConfig) -> OddPolicy:
     return OddPolicy.ROUNDUP_REMOVE
 
 
-def _best_pair(st: _State, j: int, qmode: bool, weight: int, lam: float):
-    """Exact best feasible pair in cluster j under the current state.
+def _pick(cands: list) -> tuple:
+    """The candidate (gain, j, *ids) of least key (-gain, j, min id, max id), first of equals.
+
+    The key is applied a part at a time, so ids are compared only between
+    candidates that tie on gain and cluster; gains are never NaN.
+    """
+    top = max(c[0] for c in cands)
+    j = min(c[1] for c in cands if c[0] == top)
+    return min((c for c in cands if c[0] == top and c[1] == j),
+               key=lambda c: (min(c[2:]), max(c[2:])))
+
+
+def _best_pair(st: _State, j: int, qmode: bool, weight: int) -> tuple:
+    """Exact best feasible pair in cluster j, as (gain, j, u, v).
 
     Scans every remaining pair; the first maximum wins, which is the
     lexicographically smallest (u, v) because ids are ascending. Same-cell
-    pairs score -inf, and None means no pair scores above that.
+    pairs score -inf; the pair loop passes only clusters with a pair across
+    two cells.
     """
     ids = st.free_members(j)
     k = ids.size
-    if k < 2:
-        return None
     D = st.oracle.pairwise(ids)
     cells = st.cells[ids]
     same = cells[:, None] == cells[None, :]
@@ -215,22 +268,18 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int, lam: float):
                 d = Da[bb]
                 if best is None or d > best[0]:
                     best = (d, a, bb)
-        if best[0] == -np.inf:
-            return None
-        return (weight - 1) * float(best[0]), int(ids[best[1]]), int(ids[best[2]])
-    g = objective.pair_score(st.qstate.marginal_block(ids), lam, weight, D)
+        return (weight - 1) * float(best[0]), j, int(ids[best[1]]), int(ids[best[2]])
+    g = objective.pair_score(st.qstate.marginal_block(ids), st.lam, weight, D)
     g[same | np.tri(k, dtype=bool)] = -np.inf
     a, b = divmod(int(np.argmax(g)), k)
-    if g[a, b] == -np.inf:
-        return None
-    return float(g[a, b]), int(ids[a]), int(ids[b])
+    return float(g[a, b]), j, int(ids[a]), int(ids[b])
 
 
-def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -> None:
+def _odd_phase(st: _State, policy: OddPolicy) -> None:
     """Fix up odd budgets after the pair loop."""
     if policy == OddPolicy.ALG1_ARBITRARY:
         for j in range(st.m):
-            if budgets[j] % 2 == 0 or len(st.sel[j]) >= budgets[j]:
+            if st.budgets[j] % 2 == 0 or len(st.sel[j]) >= st.budgets[j]:
                 continue
             ids = st.free_members(j)
             if ids.size == 0:
@@ -246,57 +295,56 @@ def _odd_phase(st: _State, policy: OddPolicy, budgets: np.ndarray, lam: float) -
         # only pair events precede this phase, each adding u, then v
         snapshot = [(v, e.cluster) for e in st.events for v in e.elements]
         for j in range(st.m):
-            if len(st.sel[j]) <= budgets[j]:
+            if len(st.sel[j]) <= st.budgets[j]:
                 continue
             victim = None
             for v in sorted(st.sel[j]):
-                g = objective.removal_measure(st.inst, snapshot, v, lam=lam)
+                g = objective.removal_measure(st.inst, snapshot, v, lam=st.lam)
                 if victim is None or g < victim[0]:
                     victim = (g, v)
             st.remove(j, victim[1], victim[0])
 
 
+def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
+    """The pair loop of gp and gpa.
+
+    Each round lists the open clusters: those with room for a pair under
+    their loop budget (even-rounded down, or up under the round-up removal
+    policy) whose free members span two cells. propose(st, open_, qmode,
+    weights) returns candidates (gain, j, u, v) for them, and the _pick
+    winner is added. Odd budgets are then settled by the configured policy:
+    one extra element per odd cluster, or removal of the element with the
+    smallest contribution measure.
+    """
+    qmode = st.inst.quality.kind != "zero"
+    policy = _default_policy(st.inst, config)
+    loopb = _loop_budgets(st.budgets, policy)
+    weights = _pair_weights(st.budgets, qmode)
+    open_ = range(st.m)
+    while True:
+        # room and a pair across cells only get lost, so closed stays closed
+        open_ = [j for j in open_ if len(st.sel[j]) + 2 <= loopb[j] and st.has_pair(j)]
+        if not open_:
+            break
+        g, j, u, v = _pick(propose(st, open_, qmode, weights))
+        st.add_pair(j, u, v, g)
+    _odd_phase(st, policy)
+    return st.finish()
+
+
 def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """Greedy pairs: repeatedly add the globally best feasible pair.
 
-    Each round scans every cluster that still has room for a pair under its
-    loop budget (even-rounded down, or up under the round-up removal policy)
-    and adds the pair with the largest score anywhere. Odd budgets are then
-    settled by the configured policy: one extra element per odd cluster, or
-    removal of the element with the smallest contribution measure.
+    Each round scans every open cluster and adds the pair with the largest
+    score anywhere; see _greedy_pairs for the rounds and the odd budgets.
 
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GP)
-    st = _State(instance, "gp")
-    qmode = instance.quality.kind != "zero"
-    lam = float(instance.lam)
-    budgets = instance.budgets()
-    policy = _default_policy(instance, cfg)
-    loopb = _loop_budgets(budgets, policy)
-    weights = _pair_weights(budgets, qmode)
-    dead = [False] * st.m  # no feasible pair left; availability only shrinks
-    while True:
-        best = None
-        best_key = None
-        for j in range(st.m):
-            if dead[j] or len(st.sel[j]) + 2 > loopb[j]:
-                continue
-            cand = _best_pair(st, j, qmode, int(weights[j]), lam)
-            if cand is None:
-                dead[j] = True
-                continue
-            g, u, v = cand
-            key = (-g, j, u, v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (j, u, v, g)
-        if best is None:
-            break
-        j, u, v, g = best
-        st.add_pair(j, u, v, g)
-    _odd_phase(st, policy, budgets, lam)
-    return st.finish()
+
+    def propose(st, open_, qmode, weights):
+        return [_best_pair(st, j, qmode, int(weights[j])) for j in open_]
+    return _greedy_pairs(_State(instance, "gp"), cfg, propose)
 
 
 def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
@@ -304,80 +352,57 @@ def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
     return ids[st.cells[ids] != st.cells[x]]
 
 
-def _gpa_candidate(st: _State, j: int, dsum_j: np.ndarray, alpha: float,
-                   qmode: bool, weight: int, lam: float):
-    ids = st.free_members(j)
-    if ids.size < 2:
-        return None
+def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -> tuple:
+    free = st.free_mask(j)
+    ids = st.members[j][free]
     if not qmode:
-        if st.sel[j]:
-            x = int(ids[int(np.argmax(dsum_j[ids]))])
-        else:
-            x = int(ids[0])
-        pool = _partners(st, x, ids)
-        if pool.size == 0:
-            return None
+        # while S_j is empty every sum is zero and the anchor is ids[0]
+        sums = st.dsum[j][free]
+        x = int(ids[sums.argmax()])
+        other = st.cells[ids] != st.cells[x]
+        pool, sums = ids[other], sums[other]
         rows = st.oracle.row(x, pool)
-        far = float(rows.max())
-        pool = pool[rows >= alpha * far]
-        y = int(pool[int(np.argmax(dsum_j[pool]))])
-        gain = (weight - 1) * st.oracle.distance(x, y)
-        return float(gain), x, y
+        near = rows >= alpha * float(rows.max())
+        y = int(pool[near][sums[near].argmax()])
+        return (weight - 1) * st.oracle.distance(x, y), j, x, y
     x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
     pool = _partners(st, x, ids)
-    if pool.size == 0:
-        return None
     score = objective.pair_score(
-        st.qstate.marginal_pair(x, pool), lam, weight, st.oracle.row(x, pool))
+        st.qstate.marginal_pair(x, pool), st.lam, weight, st.oracle.row(x, pool))
     k = int(np.argmax(score))
-    return float(score[k]), x, int(pool[k])
+    return float(score[k]), j, x, int(pool[k])
 
 
-def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
-                         weights: np.ndarray, loopb: np.ndarray,
-                         budgets: np.ndarray, lam: float) -> list:
+def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
     """Candidate pairs from the covering scheme.
 
-    Rounds pick a first element from the still uncovered clusters (largest
-    set distance to its cluster's selection, or largest quality marginal),
-    pair it with the best partner available in any unsaturated cluster
+    Rounds pick a first element from the still uncovered open clusters
+    (largest set distance to its cluster's selection, or largest quality
+    marginal), pair it with the best partner available in any open cluster
     containing it, assign the pair to the eligible cluster of largest budget
-    and mark every unsaturated cluster containing the first element covered.
-    One candidate per round; the caller picks the best.
+    and mark every open cluster containing the first element covered. One
+    candidate per round; the caller picks the best.
     """
-    unsat = []
-    for j in range(st.m):
-        ids = st.free_members(j)
-        # a feasible pair needs free members in two cells
-        if len(st.sel[j]) + 2 <= loopb[j] and ids.size and _partners(st, ids[0], ids).size:
-            unsat.append(j)
-    uncovered = set(unsat)
+    uncovered = set(open_)
     cands = []
 
     def home(elig: list, ys: np.ndarray) -> np.ndarray:
         """Per y, the eligible cluster holding it with the largest budget, then lowest id."""
-        order = np.array(sorted(elig, key=lambda j: (-budgets[j], j)))
+        order = np.array(sorted(elig, key=lambda j: (-st.budgets[j], j)))
         return order[np.argmax(st.member_of[np.ix_(order, ys)], axis=0)]
 
     while uncovered:
-        pick = None
+        firsts = []
         for j in sorted(uncovered):
-            ids = st.free_members(j)
-            if ids.size == 0:
-                continue
-            meas = st.qstate.marginal_vec(ids) if qmode else dsum[j][ids]
+            free = st.free_mask(j)
+            ids = st.members[j][free]
+            meas = st.qstate.marginal_vec(ids) if qmode else st.dsum[j][free]
             k = int(np.argmax(meas))
-            if pick is None or meas[k] > pick[0]:
-                pick = (float(meas[k]), j, int(ids[k]))
-        if pick is None:
-            break
-        _, jx, x = pick
-        elig = [j for j in unsat if st.member_of[j, x]]
+            firsts.append((float(meas[k]), j, int(ids[k])))
+        x = _pick(firsts)[2]
+        elig = [j for j in open_ if st.member_of[j, x]]
         pool = np.unique(np.concatenate([st.free_members(j) for j in elig]))
         pool = _partners(st, x, pool)
-        if pool.size == 0:
-            uncovered -= set(elig)
-            continue
         if not qmode:
             rows = st.oracle.row(x, pool)
             k = int(np.argmax(rows))
@@ -388,7 +413,7 @@ def _enhanced_candidates(st: _State, dsum: list, qmode: bool,
             homes = home(elig, pool)
             dist = np.array([st.oracle.distance(x, int(y)) for y in pool])
             score = objective.pair_score(
-                st.qstate.marginal_pair(x, pool), lam, weights[homes], dist)
+                st.qstate.marginal_pair(x, pool), st.lam, weights[homes], dist)
             k = int(np.argmax(score))
             gain, y, cluster = score[k], int(pool[k]), int(homes[k])
         cands.append((float(gain), cluster, x, y))
@@ -407,40 +432,19 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     combined pair score; both are exact argmaxes, which satisfy the alpha
     relaxation for every alpha <= 1. The best proposal wins the round. The
     enhanced flag switches proposals to the covering scheme (alpha ignored).
+    Rounds and odd budgets are as in _greedy_pairs.
 
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GPA)
-    st = _State(instance, "gpa")
-    qmode = instance.quality.kind != "zero"
-    lam = float(instance.lam)
-    budgets = instance.budgets()
-    policy = _default_policy(instance, cfg)
-    loopb = _loop_budgets(budgets, policy)
-    weights = _pair_weights(budgets, qmode)
-    dsum = [np.zeros(st.n) for _ in range(st.m)]
-    while True:
-        if cfg.enhanced:
-            cands = _enhanced_candidates(
-                st, dsum, qmode, weights, loopb, budgets, lam)
-        else:
-            cands = []
-            for j in range(st.m):
-                if len(st.sel[j]) + 2 > loopb[j]:
-                    continue
-                c = _gpa_candidate(
-                    st, j, dsum[j], cfg.alpha, qmode, int(weights[j]), lam)
-                if c is not None:
-                    cands.append((c[0], j, c[1], c[2]))
-        if not cands:
-            break
-        best = min(cands, key=lambda c: (-c[0], c[1], min(c[2], c[3]), max(c[2], c[3])))
-        g, j, x, y = best
-        st.add_pair(j, x, y, g)
-        mj = st.members[j]
-        dsum[j][mj] += st.oracle.row(x, mj) + st.oracle.row(y, mj)
-    _odd_phase(st, policy, budgets, lam)
-    return st.finish()
+    # only the dispersion-only proposals read the distance sums
+    st = _State(instance, "gpa", sums=instance.quality.kind == "zero")
+    if cfg.enhanced:
+        return _greedy_pairs(st, cfg, _enhanced_candidates)
+
+    def propose(st, open_, qmode, weights):
+        return [_gpa_candidate(st, j, cfg.alpha, qmode, int(weights[j])) for j in open_]
+    return _greedy_pairs(st, cfg, propose)
 
 
 def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple:
@@ -454,22 +458,17 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GELMS)
-    st = _State(instance, "gelms")
-    lam = float(instance.lam)
+    st = _State(instance, "gelms", sums=True)
     order = _check_order(cfg.cluster_order, st.m) if cfg.cluster_order else list(range(st.m))
     for j in order:
-        b = instance.clusters[j].budget
-        mj = st.members[j]
-        dsum = np.zeros(st.n)
-        while len(st.sel[j]) < b:
-            ids = st.free_members(j)
+        while len(st.sel[j]) < st.budgets[j]:
+            free = st.free_mask(j)
+            ids = st.members[j][free]
             if ids.size == 0:
                 break
-            gains = st.qstate.marginal_vec(ids) + lam * dsum[ids]
-            k = int(np.argmax(gains))
-            v = int(ids[k])
-            st.add_single(j, v, float(gains[k]))
-            dsum[mj] += st.oracle.row(v, mj)
+            gains = st.qstate.marginal_vec(ids) + st.lam * st.dsum[j][free]
+            k = gains.argmax()
+            st.add_single(j, int(ids[k]), float(gains[k]))
     return st.finish()
 
 
@@ -480,25 +479,21 @@ def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """
     _norm_config(config, Algorithm.MC)
     st = _State(instance, "mc")
-    budgets = instance.budgets()
     while True:
-        best = None
-        best_key = None
+        cands = []
         for j in range(st.m):
-            if len(st.sel[j]) >= budgets[j]:
+            if len(st.sel[j]) >= st.budgets[j]:
                 continue
             ids = st.free_members(j)
             if ids.size == 0:
                 continue
             margs = st.qstate.marginal_vec(ids)
-            k = int(np.argmax(margs))
-            key = (-float(margs[k]), j, int(ids[k]))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (j, int(ids[k]), float(margs[k]))
-        if best is None:
+            k = margs.argmax()
+            cands.append((float(margs[k]), j, int(ids[k])))
+        if not cands:
             break
-        st.add_single(best[0], best[1], best[2])
+        g, j, v = _pick(cands)
+        st.add_single(j, v, g)
     return st.finish()
 
 
@@ -510,13 +505,12 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
     cfg = _norm_config(config, Algorithm.RN)
     st = _State(instance, "rn")
     rng = np.random.default_rng(cfg.seed)
-    budgets = instance.budgets()
     if cfg.cluster_order:
         order = _check_order(cfg.cluster_order, st.m)
     else:
         order = rng.permutation(st.m).tolist()
     for j in order:
-        while len(st.sel[j]) < budgets[j]:
+        while len(st.sel[j]) < st.budgets[j]:
             ids = st.free_members(j)
             if ids.size == 0:
                 break
@@ -551,11 +545,10 @@ def _local_search(instance: Instance, config: SolverConfig | None,
     f_cur = evaluate()
     cap = cfg.max_ls_iters
     if cap is None:
-        budgets = instance.budgets()
-        cap = 10 * st.n * (int(budgets.max()) if len(budgets) else 0)
+        cap = 10 * st.n * (int(st.budgets.max()) if st.m else 0)
     while len(st.events) < cap:
         union = np.flatnonzero(st.qstate.in_sel)
-        best = None
+        cands = []
         for j in range(st.m):
             if not st.sel[j]:
                 continue
@@ -579,11 +572,11 @@ def _local_search(instance: Instance, config: SolverConfig | None,
             # row-major first maximum: smallest out, then smallest inn
             a, i = divmod(int(np.argmax(gains)), mem.size)
             gain = float(gains[a, i])
-            if gain > cfg.epsilon * f_cur and (best is None or gain > best[0]):
-                best = (gain, j, int(outs[a]), int(mem[i]))
-        if best is None:
+            if gain > cfg.epsilon * f_cur:
+                cands.append((gain, j, int(outs[a]), int(mem[i])))
+        if not cands:
             break
-        delta, j, out, inn = best
+        delta, j, out, inn = _pick(cands)
         st.swap(j, out, inn, delta)
         f_cur = evaluate()
     return st.finish()
@@ -627,11 +620,11 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     marginal in the cluster, and the pair score of (x, y) beyond x's marginal
     is at least alpha times the best such margin over partners of x.
     """
-    if lam is None:
-        lam = float(instance.lam)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     st = _State(instance, "alpha", q, start=_selected_sets(partial, instance.m))
+    if lam is None:
+        lam = st.lam
     ids = st.free_members(cluster_id)
     if x not in ids:
         return False
@@ -641,7 +634,7 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     marg_x = st.qstate.marginal(x)
     if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
-    w = 2 * math.ceil(instance.clusters[cluster_id].budget / 2)
+    w = _pair_weights(st.budgets, True)[cluster_id]
     dist = np.array([st.oracle.distance(x, int(v)) for v in partners])
     margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w, dist) - marg_x
     return bool(margin[partners == y][0] >= alpha * margin.max())

@@ -15,6 +15,15 @@ CHANGES.md:
 A new case is recorded on its own, leaving every other file as it is:
 
     PYTHONPATH=src python tests/golden/record.py <case> [<case> ...]
+
+A differential between two source trees solves a seeded batch of random
+instances (COUNT small ones, default 150, plus two uncached ones) with every
+config but exact and writes the records to stdout, recording nothing:
+
+    PYTHONPATH=<tree>/src python tests/golden/record.py --batch [COUNT] > <tree>.txt
+
+Run it once per tree and compare the outputs with diff; a changed solution
+or a changed last bit of a gain shows as a differing line.
 """
 
 from __future__ import annotations
@@ -156,6 +165,54 @@ UNCACHED = {
 }
 
 
+# zero quality on cosine rows, and coverage with cells and lambda != 1
+BATCH_UNCACHED = [
+    {"genspec": {"family": "random", "n": 4300, "m": 140, "budgets": [5, 6, 7, 4],
+                 "overlap": 1, "seed": 81, "dim": 10},
+     "clusters": 4, "metric": "cosine"},
+    {"genspec": {"family": "random", "n": 4300, "m": 140, "budgets": [6, 5, 4, 7],
+                 "overlap": 2, "seed": 82},
+     "clusters": 4, "covers_seed": 83, "cells": 2500, "cells_seed": 84, "lambda": 0.37},
+]
+
+
+def _unit(X: np.ndarray) -> np.ndarray:
+    """Points centred on the unit cube's middle, then scaled to unit norm."""
+    X = X - 0.5
+    return X / np.linalg.norm(X, axis=1)[:, None]
+
+
+def batch_cases(count: int):
+    """(name, instance) for count seeded random instances, then the uncached ones.
+
+    Quality kinds and lambdas cycle so every 12 instances cover each pair;
+    cells, the metric (euclidean at dim 2 or 5, cosine, Jaccard), sizes,
+    budgets and overlaps are drawn.
+    """
+    for i in range(count):
+        rng = np.random.default_rng([97, i])
+        n, m = int(rng.integers(12, 61)), int(rng.integers(1, 6))
+        inst = instgen.gen_random(GenSpec(
+            family="random", n=n, m=m, budgets=rng.integers(1, 14, size=m).tolist(),
+            overlap=int(rng.integers(1, m + 1)), dim=int(rng.choice([2, 5])), seed=1000 + i))
+        inst = dataclasses.replace(inst, quality=_quality(("zero", "modular", "coverage")[i % 3],
+                                                          n, 2000 + i),
+                                   lam=(0.0, 0.37, 1.0, 2.3)[i // 3 % 4])
+        if rng.random() < 0.5:
+            inst = dataclasses.replace(
+                inst, partition=_cells(n, int(rng.integers(n // 3, n + 1)), 3000 + i))
+        metric = rng.choice(["euclidean", "euclidean", "cosine", "jaccard"])
+        if metric == "cosine":
+            inst = dataclasses.replace(inst, metric="cosine", features=_unit(inst.features))
+        elif metric == "jaccard":
+            sets = [rng.choice(12, size=int(rng.integers(1, 5)), replace=False).tolist()
+                    for _ in range(n)]
+            inst = dataclasses.replace(inst, feature_kind="set", metric="jaccard", features=sets)
+        yield f"batch-{i}", inst
+    for k, recipe in enumerate(BATCH_UNCACHED):
+        yield f"batch-uncached-{k}", build_uncached(recipe)
+
+
 def build_uncached(recipe: dict):
     spec = dict(recipe["genspec"])
     m = spec["m"]
@@ -166,10 +223,7 @@ def build_uncached(recipe: dict):
     inst = dataclasses.replace(inst, clusters=inst.clusters[:recipe["clusters"]],
                                lam=recipe.get("lambda", 1.0))
     if recipe.get("metric") == "cosine":
-        # centred, then scaled to unit norm
-        X = inst.features - 0.5
-        inst = dataclasses.replace(
-            inst, metric="cosine", features=X / np.linalg.norm(X, axis=1)[:, None])
+        inst = dataclasses.replace(inst, metric="cosine", features=_unit(inst.features))
     if "covers_seed" in recipe:
         inst = dataclasses.replace(
             inst, quality=_covers(n, 3 * n, recipe.get("cover_size", 4), recipe["covers_seed"]),
@@ -240,6 +294,12 @@ def solve_case(name: str) -> str:
 
 
 def main(argv: list) -> int:
+    if argv[:1] == ["--batch"]:
+        configs = [c for c in CONFIGS if c != "exact"]
+        for name, inst in batch_cases(int(argv[1]) if len(argv) > 1 else 150):
+            sys.stdout.write(render({"case": name,
+                                     "runs": [run_record(inst, c) for c in configs]}))
+        return 0
     small = _small_cases()
     names = argv or list(small) + sorted(UNCACHED)
     unknown = [name for name in names if name not in small and name not in UNCACHED]

@@ -113,6 +113,16 @@ def test_rows_equal_stacked_rows():
                 oracle.rows(us, ids)
 
 
+def test_every_read_rejects_out_of_range_ids():
+    for oracle in _every_mode(72, 53):
+        for bad in (-1, oracle.n):
+            for read in (lambda: oracle.distance(0, bad), lambda: oracle.distance(bad, 0),
+                         lambda: oracle.row(bad, [1]), lambda: oracle.row(0, [1, bad]),
+                         lambda: oracle.pairwise([0, bad]), lambda: oracle.rows([0], [bad])):
+                with pytest.raises(IndexError):
+                    read()
+
+
 def test_rows_sum_like_single_rows():
     # numpy sums a row of a C-contiguous block in the order of a 1-d sum
     rng = np.random.default_rng(43)

@@ -5,12 +5,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from divmax import (Algorithm, Cluster, GenSpec, Instance, OddPolicy, OracleLimitError,
+from divmax import (Algorithm, Cluster, DistanceOracle, GenSpec, Instance, OddPolicy,
+                    OracleLimitError,
                     QualityFunction, Solution, SolverConfig, alpha_acceptable,
                     approximation_ratio, combined_objective, gen_fig1, gen_random,
                     intra_dispersion, is_feasible, pair_gain_combined, replay_trace,
                     solve, solve_exact, solve_gelms, solve_gp, solve_gpa, solve_lsi,
-                    solve_mc, solve_rn)
+                    solve_mc, solve_rn, solvers)
 
 
 def points_instance(coords, clusters, **kw):
@@ -205,6 +206,74 @@ def test_gpa_enhanced_ignores_alpha_and_replays():
     assert full.selected == half.selected  # covering scheme has no relaxation
     assert is_feasible(inst, full) == []
     assert replay_trace(inst, trace).selected == full.selected
+
+
+def _overlapping(n, seed, budgets, **kw):
+    """Random points in the unit cube with overlapping clusters of 30 members."""
+    rng = np.random.default_rng(seed)
+    clusters = [(tuple(rng.choice(n, size=30, replace=False).tolist()), b) for b in budgets]
+    return points_instance(rng.random((n, 3)), clusters, **kw)
+
+
+@pytest.mark.parametrize("n", [200, 4300])  # cached, uncached
+def test_state_sums_and_open_check_stay_exact(n):
+    # 12 cells: clusters run out of cross-cell pairs, and removals reopen them
+    inst = _overlapping(n, 17, [8, 8, 8], partition=(np.arange(n) % 12).tolist())
+    start = [inst.clusters[0].members[:2], (), inst.clusters[2].members[:1]]
+    st = solvers._State(inst, "sums", start=start, sums=True)
+    rng = np.random.default_rng(19)
+    seen = set()
+
+    def check():
+        for j in range(st.m):
+            want = st.oracle.rows(sorted(st.sel[j]), st.members[j]).sum(axis=0)
+            np.testing.assert_allclose(st.dsum[j], want, rtol=0, atol=1e-12)
+            assert st.has_pair(j) == (np.unique(st.cells[st.free_members(j)]).size >= 2)
+            seen.add(bool(st.has_pair(j)))
+
+    check()
+    for step in range(60):
+        j = int(rng.integers(st.m))
+        free = st.free_members(j)
+        sel = sorted(st.sel[j])
+        kind = ("pair", "single", "remove", "swap")[step % 4]
+        if kind == "pair" and free.size >= 2:
+            st.add_pair(j, int(free[0]), int(free[-1]), 0.0)
+        elif kind == "single" and free.size:
+            st.add_single(j, int(rng.choice(free)), 0.0)
+        elif kind == "remove" and sel:
+            st.remove(j, int(rng.choice(sel)), 0.0)
+        elif kind == "swap" and sel and free.size:
+            st.swap(j, int(rng.choice(sel)), int(rng.choice(free)), 0.0)
+        check()
+    assert {e.kind for e in st.events} == {"pair", "single", "remove", "swap"}
+    assert seen == {True, False}
+
+
+def test_row_calls_only_where_read(monkeypatch):
+    inst = _overlapping(200, 23, [5, 6, 7, 4], partition=(np.arange(200) % 90).tolist(),
+                        quality=QualityFunction.coverage([[v % 70, v % 31] for v in range(200)]))
+    calls = {"row": 0, "candidate": 0}
+    real_row, real_candidate = DistanceOracle.row, solvers._gpa_candidate
+
+    def row(self, u, ids):
+        calls["row"] += 1
+        return real_row(self, u, ids)
+
+    def candidate(*args):
+        calls["candidate"] += 1
+        return real_candidate(*args)
+
+    monkeypatch.setattr(DistanceOracle, "row", row)
+    monkeypatch.setattr(solvers, "_gpa_candidate", candidate)
+    alg1 = OddPolicy.ALG1_ARBITRARY
+    solve(inst, SolverConfig(algorithm=Algorithm.GPA, odd_policy=alg1))
+    assert calls["candidate"] > 0 and calls["row"] == calls["candidate"]
+    for config in (SolverConfig(algorithm=Algorithm.GP, odd_policy=alg1),
+                   SolverConfig(algorithm=Algorithm.MC), SolverConfig(algorithm=Algorithm.RN)):
+        calls["row"] = 0
+        solve(inst, config)
+        assert calls["row"] == 0, config.algorithm
 
 
 def test_alpha_acceptable_threshold():
