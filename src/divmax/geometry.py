@@ -28,20 +28,24 @@ class DistanceOracle:
         1 - <x, y>.
     jaccard : over a list of n item sets.
     matrix : over an explicit (n, n) distance matrix. Any object supporting
-        scalar [i, j] indexing, [i, id_array] rows and [np.ix_(ids, ids)]
-        blocks works, so large structured matrices can be plugged in without
-        materializing n^2 floats.
+        scalar [i, j] indexing, [i, id_array] rows and rectangular
+        [np.ix_(us, ids)] blocks works, so large structured matrices can be
+        plugged in without materializing n^2 floats.
 
     When n <= cache_limit a dense matrix is built eagerly so later lookups
     are array slices; the oracle is immutable and safe to share across
     threads after construction.
 
-    rows(us, ids) is the block form of row: a new C-contiguous
-    (len(us), len(ids)) array whose row i equals row(us[i], ids) bit for bit,
-    zero where ids == us[i] included. Its row sums therefore equal the sums
-    of the single rows too. distance, row, rows and pairwise all raise
-    IndexError for an id outside [0, n). Above cache_limit, pairwise, row
-    and distance may differ from one another in the last bit.
+    Above cache_limit, row is the one kernel of each metric and every other
+    read is built from it. rows(us, ids) is its block form: a new
+    C-contiguous (len(us), len(ids)) array whose row i equals row(us[i], ids)
+    bit for bit, zero where ids == us[i] included, so its row sums equal the
+    sums of the single rows too. pairwise(ids) is rows(ids, ids) and
+    distance(u, v) is row(u, [v])[0]. Within one oracle every read therefore
+    equals stacked rows bit for bit. Cached and uncached reads may still
+    differ in the last bit, and so may d(u, v) read from a cosine row of u
+    and from one of v. distance, row, rows and pairwise all raise IndexError
+    for an id outside [0, n).
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -117,19 +121,14 @@ class DistanceOracle:
         return ids
 
     def distance(self, u: int, v: int) -> float:
+        if self._cache is None and self._matrix is None:
+            return float(self.row(u, [v])[0])
+        # a matrix entry is the value its row would hold
         self._check(u)
         self._check(v)
         if u == v:
             return 0.0
-        if self._cache is not None:
-            return float(self._cache[u, v])
-        if self.metric == "euclidean":
-            return float(np.linalg.norm(self._X[u] - self._X[v]))
-        if self.metric == "cosine":
-            return float(max(1.0 - float(self._X[u] @ self._X[v]), 0.0))
-        if self.metric == "jaccard":
-            return float(self._jaccard_block([u], [v])[0, 0])
-        return float(self._matrix[u, v])
+        return float((self._matrix if self._cache is None else self._cache)[u, v])
 
     def row(self, u: int, ids) -> np.ndarray:
         """Distances from u to each element of ids, as a float array."""
@@ -173,20 +172,7 @@ class DistanceOracle:
 
     def pairwise(self, ids) -> np.ndarray:
         """Square block of pairwise distances among ids."""
-        ids = self._check_all(ids)
-        if self._cache is not None:
-            return self._cache[np.ix_(ids, ids)]
-        if self.metric == "euclidean":
-            D = cdist(self._X[ids], self._X[ids])
-        elif self.metric == "cosine":
-            Xi = self._X[ids]
-            D = np.clip(1.0 - Xi @ Xi.T, 0.0, None)
-        elif self.metric == "jaccard":
-            D = self._jaccard_block(ids, ids)
-        else:
-            D = np.asarray(self._matrix[np.ix_(ids, ids)], dtype=float)
-        np.fill_diagonal(D, 0.0)
-        return D
+        return self.rows(ids, ids)
 
 
 def set_distance_sum(oracle: DistanceOracle, v: int, S: Iterable[int]) -> float:

@@ -253,6 +253,16 @@ class QualityState:
         m = self.marginal_vec(ids)
         block = m[:, None] + m[None, :]
         if self.q.kind == "coverage":
-            U = self._inc[ids].multiply(self._count == 0)  # uncovered items only
-            block -= (U @ U.T).toarray()
+            # 0/1 rows over the uncovered items that two or more ids cover (an
+            # item of one id alone adds only to the diagonal); the entries are
+            # integer counts, so U @ U.T is exact in any summation order
+            pos, items = self._entries(ids)
+            keep = self._count[items] == 0
+            pos, items = pos[keep], items[keep]
+            _, col, cnt = np.unique(items, return_inverse=True, return_counts=True)
+            shared = cnt > 1
+            hit = shared[col]
+            U = np.zeros((ids.size, np.count_nonzero(shared)))
+            U[pos[hit], np.cumsum(shared)[col[hit]] - 1] = 1.0
+            block -= U @ U.T
         return block

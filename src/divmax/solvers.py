@@ -362,9 +362,9 @@ def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -
         other = st.cells[ids] != st.cells[x]
         pool, sums = ids[other], sums[other]
         rows = st.oracle.row(x, pool)
-        near = rows >= alpha * float(rows.max())
-        y = int(pool[near][sums[near].argmax()])
-        return (weight - 1) * st.oracle.distance(x, y), j, x, y
+        sums[rows < alpha * float(rows.max())] = -np.inf  # only near partners compete
+        k = int(sums.argmax())
+        return (weight - 1) * float(rows[k]), j, x, int(pool[k])
     x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
     pool = _partners(st, x, ids)
     score = objective.pair_score(
@@ -411,9 +411,8 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
             gain = (weights[cluster] - 1) * float(rows[k])
         else:
             homes = home(elig, pool)
-            dist = np.array([st.oracle.distance(x, int(y)) for y in pool])
-            score = objective.pair_score(
-                st.qstate.marginal_pair(x, pool), st.lam, weights[homes], dist)
+            score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
+                                         weights[homes], st.oracle.row(x, pool))
             k = int(np.argmax(score))
             gain, y, cluster = score[k], int(pool[k]), int(homes[k])
         cands.append((float(gain), cluster, x, y))
@@ -635,8 +634,8 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
     w = _pair_weights(st.budgets, True)[cluster_id]
-    dist = np.array([st.oracle.distance(x, int(v)) for v in partners])
-    margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w, dist) - marg_x
+    margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w,
+                                  st.oracle.row(x, partners)) - marg_x
     return bool(margin[partners == y][0] >= alpha * margin.max())
 
 

@@ -23,7 +23,9 @@ config but exact and writes the records to stdout, recording nothing:
     PYTHONPATH=<tree>/src python tests/golden/record.py --batch [COUNT] > <tree>.txt
 
 Run it once per tree and compare the outputs with diff; a changed solution
-or a changed last bit of a gain shows as a differing line.
+or a changed last bit of a gain shows as a differing line. Where a change
+moves last bits on purpose, tests/golden/compare.py OLD NEW tells gains that
+moved within 1e-12 relative from changed solutions or moves.
 """
 
 from __future__ import annotations
@@ -140,13 +142,14 @@ def _small_cases() -> dict:
     return cases
 
 
-# Above geometry.CACHE_LIMIT the oracle computes rows and blocks on demand,
-# and pairwise, row and distance may differ in the last bit; the first few
-# clusters keep the pair scans small. The dim-10 case is one where swapping
-# one of those oracle calls for another changes recorded gains. The cosine
-# case has odd budgets that leave |S_j| mod 4 != 0 for the ALG1 odd phase:
-# there d(u, v) computed as a row of u and as a row of v may differ in the
-# last bit (BLAS rounds the tail rows of a matrix-vector product apart).
+# Above geometry.CACHE_LIMIT the oracle computes every read from its row
+# kernel, whose last bits may differ from the cache's; the first few
+# clusters keep the pair scans small. The dim-10 cases pin that kernel: a
+# change to it, or a read that stops going through it, changes recorded
+# gains there. The cosine case has odd budgets that leave |S_j| mod 4 != 0
+# for the ALG1 odd phase: there d(u, v) computed as a row of u and as a row
+# of v may differ in the last bit (BLAS rounds the tail rows of a
+# matrix-vector product apart).
 UNCACHED = {
     "uncached-coverage-cells": {
         "genspec": {"family": "random", "n": 4200, "m": 140, "budgets": [4, 5, 4, 3],

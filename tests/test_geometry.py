@@ -108,6 +108,12 @@ def test_rows_equal_stacked_rows():
                 assert got.shape == (ku, ki) and got.dtype == float
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want), (oracle.metric, us, ids)
+        # every other read is stacked rows too, cached and on demand alike
+        for ids in (pool, rng.choice(pool, size=25)):
+            assert np.array_equal(oracle.pairwise(ids), oracle.rows(ids, ids)), oracle.metric
+        got = [oracle.distance(int(u), int(v)) for u in pool for v in pool]
+        want = [oracle.row(int(u), [int(v)])[0] for u in pool for v in pool]
+        assert got == want, oracle.metric
         for us, ids in (([0, oracle.n], [1]), ([0], [1, oracle.n]), ([-1], [0]), ([0], [-1])):
             with pytest.raises(IndexError):
                 oracle.rows(us, ids)

@@ -2,19 +2,30 @@
 
 The corpus under tests/golden/ was recorded before the solvers' bookkeeping
 was refactored; see tests/golden/record.py for the cases and how to
-regenerate them after a deliberate behaviour change.
+regenerate them after a deliberate behaviour change, and
+tests/golden/compare.py for telling moved last bits of gains from changed
+solutions and moves.
 """
 
 import difflib
 import importlib.util
+import json
 import os
+
+import numpy as np
 
 from divmax import geometry
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
-record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record)
+
+def _golden_module(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"golden_{name}", os.path.join(os.path.dirname(__file__), "golden", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record, compare = _golden_module("record"), _golden_module("compare")
 
 
 def test_corpus_covers_every_path():
@@ -36,3 +47,18 @@ def test_corpus_resolves_byte_identical():
             diff = "\n".join(list(difflib.unified_diff(
                 want.splitlines(), got.splitlines(), "recorded", "now", lineterm=""))[:40])
             raise AssertionError(f"golden case {name!r} differs:\n{diff}")
+
+
+def test_compare_allows_last_bit_gains_only(tmp_path):
+    with open(record.expected_path("odd-zero")) as fh:
+        payload = json.load(fh)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(record.render(payload))
+    event = payload["runs"][0]["events"][0]
+    event[4] = float(np.nextafter(float.fromhex(event[4]), np.inf)).hex()
+    new.write_text(record.render(payload))
+    assert new.read_text() != old.read_text()
+    assert compare.main([str(old), str(new)]) == 0
+    event[3][0] += 1  # one element of one move
+    new.write_text(record.render(payload))
+    assert compare.main([str(old), str(new)]) == 1

@@ -1,5 +1,6 @@
 """Selection algorithms and the exact oracle."""
 
+import dataclasses
 from itertools import combinations, product
 
 import numpy as np
@@ -253,18 +254,24 @@ def test_state_sums_and_open_check_stay_exact(n):
 def test_row_calls_only_where_read(monkeypatch):
     inst = _overlapping(200, 23, [5, 6, 7, 4], partition=(np.arange(200) % 90).tolist(),
                         quality=QualityFunction.coverage([[v % 70, v % 31] for v in range(200)]))
-    calls = {"row": 0, "candidate": 0}
-    real_row, real_candidate = DistanceOracle.row, solvers._gpa_candidate
+    calls = {"row": 0, "distance": 0, "candidate": 0}
+    real_row, real_distance = DistanceOracle.row, DistanceOracle.distance
+    real_candidate = solvers._gpa_candidate
 
     def row(self, u, ids):
         calls["row"] += 1
         return real_row(self, u, ids)
+
+    def distance(self, u, v):
+        calls["distance"] += 1
+        return real_distance(self, u, v)
 
     def candidate(*args):
         calls["candidate"] += 1
         return real_candidate(*args)
 
     monkeypatch.setattr(DistanceOracle, "row", row)
+    monkeypatch.setattr(DistanceOracle, "distance", distance)
     monkeypatch.setattr(solvers, "_gpa_candidate", candidate)
     alg1 = OddPolicy.ALG1_ARBITRARY
     solve(inst, SolverConfig(algorithm=Algorithm.GPA, odd_policy=alg1))
@@ -274,6 +281,16 @@ def test_row_calls_only_where_read(monkeypatch):
         calls["row"] = 0
         solve(inst, config)
         assert calls["row"] == 0, config.algorithm
+    # no solver reads single distances, with quality or without
+    configs = [SolverConfig(algorithm=Algorithm.GPA, enhanced=True)] + [
+        SolverConfig(algorithm=a, seed=3) for a in (
+            Algorithm.GP, Algorithm.GPA, Algorithm.GELMS, Algorithm.MC, Algorithm.RN,
+            Algorithm.LSI, Algorithm.LSG)]
+    for case in (inst, dataclasses.replace(inst, quality=QualityFunction.zero())):
+        for config in configs:
+            calls["distance"] = 0
+            solve(case, config)
+            assert calls["distance"] == 0, (case.quality.kind, config)
 
 
 def test_alpha_acceptable_threshold():
