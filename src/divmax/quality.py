@@ -76,6 +76,12 @@ class QualityFunction:
         raise ValueError(f"unknown quality kind: {kind!r}")
 
 
+def _ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges lo[i], ..., lo[i] + lens[i] - 1."""
+    first = np.cumsum(lens) - lens  # output position of each range's start
+    return np.arange(lens.sum()) + np.repeat(lo - first, lens)
+
+
 def incidence(sets) -> sparse.csr_matrix:
     """Element-by-item 0/1 CSR matrix of item sets, items numbered by first use.
 
@@ -162,9 +168,7 @@ class QualityState:
         ptr = self._inc.indptr
         lo = ptr[ids]
         lens = ptr[ids + 1] - lo
-        pos = np.repeat(np.arange(ids.size), lens)
-        first = np.cumsum(lens) - lens  # position of each element's first entry
-        return pos, self._inc.indices[np.arange(pos.size) + np.repeat(lo - first, lens)]
+        return np.repeat(np.arange(ids.size), lens), self._inc.indices[_ranges(lo, lens)]
 
     def value(self) -> float:
         if self.q.kind == "coverage":
@@ -253,16 +257,14 @@ class QualityState:
         m = self.marginal_vec(ids)
         block = m[:, None] + m[None, :]
         if self.q.kind == "coverage":
-            # 0/1 rows over the uncovered items that two or more ids cover (an
-            # item of one id alone adds only to the diagonal); the entries are
-            # integer counts, so U @ U.T is exact in any summation order
+            # take 1 from [a, b] for each uncovered item both ids[a] and ids[b]
+            # cover: sorted by item, each entry pairs with every entry of its
+            # item. Every value is an integer, so the order cannot matter
             pos, items = self._entries(ids)
             keep = self._count[items] == 0
-            pos, items = pos[keep], items[keep]
-            _, col, cnt = np.unique(items, return_inverse=True, return_counts=True)
-            shared = cnt > 1
-            hit = shared[col]
-            U = np.zeros((ids.size, np.count_nonzero(shared)))
-            U[pos[hit], np.cumsum(shared)[col[hit]] - 1] = 1.0
-            block -= U @ U.T
+            order = np.argsort(items[keep])
+            pos, items = pos[keep][order], items[keep][order]
+            lo = np.searchsorted(items, items)
+            lens = np.searchsorted(items, items, side="right") - lo
+            np.subtract.at(block, (np.repeat(pos, lens), pos[_ranges(lo, lens)]), 1.0)
         return block

@@ -134,11 +134,13 @@ def test_state_marginal_pair_matches_plain_function():
             got = st.marginal_pair(u, vs)
             want = [marginal_pair(q, sel, u, int(v)) for v in vs]
             assert got == pytest.approx(want)
-        block = st.marginal_block(np.arange(12))
-        for u in range(12):
-            for v in range(12):
-                if u != v:
-                    assert block[u, v] == pytest.approx(marginal_pair(q, sel, u, v))
+        # every id in order, and an unordered subset with a selected id
+        for ids in (np.arange(12), np.array([9, 2, 11, 4, 7, 0, 5])):
+            block = st.marginal_block(ids)
+            for a, u in enumerate(ids):
+                for b, v in enumerate(ids):
+                    if u != v:
+                        assert block[a, b] == pytest.approx(marginal_pair(q, sel, u, v))
         with pytest.raises(ValueError):
             st.marginal_pair(2, np.array([3, 2]))
 
