@@ -38,12 +38,19 @@ class QualityFunction:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown quality kind: {self.kind!r}")
         self._inc = None
+        self._hold = None
 
     def cover_incidence(self) -> sparse.csr_matrix:
         """incidence(covers), built on first use and shared by later callers."""
         if self._inc is None:
             self._inc = incidence(self.covers)
         return self._inc
+
+    def cover_holders(self) -> sparse.csr_matrix:
+        """Item-by-element transpose of cover_incidence(), built and shared likewise."""
+        if self._hold is None:
+            self._hold = self.cover_incidence().T.tocsr()
+        return self._hold
 
     @staticmethod
     def zero() -> "QualityFunction":
@@ -76,10 +83,13 @@ class QualityFunction:
         raise ValueError(f"unknown quality kind: {kind!r}")
 
 
-def _ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated index ranges lo[i], ..., lo[i] + lens[i] - 1."""
-    first = np.cumsum(lens) - lens  # output position of each range's start
-    return np.arange(lens.sum()) + np.repeat(lo - first, lens)
+def _entries(mat: sparse.csr_matrix, rows: np.ndarray) -> tuple:
+    """Batch position and column of every stored entry of the given CSR rows."""
+    lo = mat.indptr[rows]
+    lens = mat.indptr[rows + 1] - lo
+    pos = np.arange(rows.size).repeat(lens)
+    # output j of row r reads indices[lo[r] + j - first[r]], first = cumsum(lens) - lens
+    return pos, mat.indices[np.arange(pos.size) + (lo - lens.cumsum() + lens)[pos]]
 
 
 def incidence(sets) -> sparse.csr_matrix:
@@ -146,9 +156,13 @@ def marginal_pair(q: QualityFunction, selected: Iterable[int], u: int, v: int) -
 class QualityState:
     """Incremental quality evaluation for one solver run.
 
-    Tracks the globally selected set and, for coverage, how many selected
-    elements cover each item; a query counts a batch's items by that count.
-    remove() exists for the round-up removal step and local search.
+    Tracks the globally selected set. For coverage, _count[i] is how many
+    selected elements cover item i and _gain[v] how many of v's items none
+    covers (0 once v is selected), so marginals are gathers. add and remove
+    update _gain through the item -> holders index (cover_holders()), at a
+    cost in the holders of the items they cover or uncover, not in n; pair
+    queries count overlaps through it (_shared). remove() exists for the
+    round-up removal step and local search.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -158,17 +172,13 @@ class QualityState:
         self._total = 0.0
         if q.kind == "coverage":
             self._inc = q.cover_incidence()
+            self._hold = q.cover_holders()
             self._count = np.zeros(self._inc.shape[1], dtype=int)
+            self._gain = np.diff(self._inc.indptr).astype(int)  # int32 slows ufunc.at 4x
+            self._pos = np.full(n, -1)  # reused buffer: batch position of each id, -1 elsewhere
 
     def _items(self, v: int) -> np.ndarray:
         return self._inc.indices[self._inc.indptr[v]:self._inc.indptr[v + 1]]
-
-    def _entries(self, ids: np.ndarray) -> tuple:
-        """Batch position and item of every incidence entry of the elements ids."""
-        ptr = self._inc.indptr
-        lo = ptr[ids]
-        lens = ptr[ids + 1] - lo
-        return np.repeat(np.arange(ids.size), lens), self._inc.indices[_ranges(lo, lens)]
 
     def value(self) -> float:
         if self.q.kind == "coverage":
@@ -182,7 +192,9 @@ class QualityState:
         if self.q.kind == "modular":
             self._total += float(self.q.weights[v])
         elif self.q.kind == "coverage":
-            self._count[self._items(v)] += 1
+            items = self._items(v)
+            self._count[items] += 1
+            np.subtract.at(self._gain, _entries(self._hold, items[self._count[items] == 1])[1], 1)
 
     def remove(self, v: int) -> None:
         if not self.in_sel[v]:
@@ -191,14 +203,16 @@ class QualityState:
         if self.q.kind == "modular":
             self._total -= float(self.q.weights[v])
         elif self.q.kind == "coverage":
-            self._count[self._items(v)] -= 1
+            items = self._items(v)
+            self._count[items] -= 1
+            np.add.at(self._gain, _entries(self._hold, items[self._count[items] == 0])[1], 1)
 
     def marginal(self, v: int) -> float:
         if self.in_sel[v] or self.q.kind == "zero":
             return 0.0
         if self.q.kind == "modular":
             return float(self.q.weights[v])
-        return float(np.count_nonzero(self._count[self._items(v)] == 0))
+        return float(self._gain[v])
 
     def marginal_vec(self, ids: np.ndarray) -> np.ndarray:
         """Vector of marginal gains for a batch of candidate elements."""
@@ -206,9 +220,23 @@ class QualityState:
             return np.zeros(len(ids))
         if self.q.kind == "modular":
             return np.where(self.in_sel[ids], 0.0, self.q.weights[ids])
-        # a selected element covers no uncovered item
-        pos, items = self._entries(ids)
-        return np.bincount(pos[self._count[items] == 0], minlength=ids.size).astype(float)
+        return self._gain[ids].astype(float)
+
+    def _shared(self, us: np.ndarray, vs: np.ndarray, level: int) -> np.ndarray:
+        """[a, b]: items of us[a] that exactly level selected elements cover and vs[b] covers.
+
+        Each batch's ids must be distinct (callers pass free members, a
+        cluster's members or selected ids): vs's positions share one buffer.
+        """
+        a, items = _entries(self._inc, us)
+        keep = self._count[items] == level
+        k, holders = _entries(self._hold, items[keep])
+        self._pos[vs] = np.arange(vs.size)
+        b = self._pos[holders]
+        self._pos[vs] = -1
+        hit = b >= 0
+        flat = a[keep][k][hit] * vs.size + b[hit]
+        return np.bincount(flat, minlength=us.size * vs.size).reshape(us.size, vs.size)
 
     def swap_delta(self, outs: np.ndarray, inns: np.ndarray) -> np.ndarray:
         """Matrix of value changes for swapping a selected out for an unselected inn.
@@ -224,16 +252,12 @@ class QualityState:
         if self.q.kind == "modular":
             w = self.q.weights
             return w[inns][None, :] - w[outs][:, None]
-        # drop outs[a] for a moment: items left uncovered are lost, inns[i] gains those it covers
-        pos, items = self._entries(inns)
-        delta = np.empty((outs.size, inns.size))
-        for a, out in enumerate(outs):
-            mine = self._items(out)
-            self._count[mine] -= 1
-            delta[a] = (np.bincount(pos[self._count[items] == 0], minlength=inns.size)
-                        - np.count_nonzero(self._count[mine] == 0))
-            self._count[mine] += 1
-        return delta
+        # outs[a] alone covers the items it would leave uncovered (lost);
+        # inns[i] wins its uncovered items back plus those of lost it covers
+        pos, items = _entries(self._inc, outs)
+        lost = np.bincount(pos[self._count[items] == 1], minlength=outs.size)
+        return (self._gain[inns][None, :] + self._shared(outs, inns, 1)
+                - lost[:, None]).astype(float)
 
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding u together with each element of vs."""
@@ -243,10 +267,7 @@ class QualityState:
         mu = self.marginal(u)
         if self.q.kind != "coverage":
             return mu + self.marginal_vec(vs)
-        # an item of v is new when it is uncovered and u does not cover it
-        pos, items = self._entries(vs)
-        new = (self._count[items] == 0) & ~np.isin(items, self._items(u))
-        return mu + np.bincount(pos[new], minlength=vs.size)
+        return mu + (self._gain[vs] - self._shared(np.array([u]), vs, 0)[0])
 
     def marginal_block(self, ids: np.ndarray) -> np.ndarray:
         """Joint marginal gains of every pair of ids: [a, b] = marginal_pair(ids[a], [ids[b]]).
@@ -257,14 +278,5 @@ class QualityState:
         m = self.marginal_vec(ids)
         block = m[:, None] + m[None, :]
         if self.q.kind == "coverage":
-            # take 1 from [a, b] for each uncovered item both ids[a] and ids[b]
-            # cover: sorted by item, each entry pairs with every entry of its
-            # item. Every value is an integer, so the order cannot matter
-            pos, items = self._entries(ids)
-            keep = self._count[items] == 0
-            order = np.argsort(items[keep])
-            pos, items = pos[keep][order], items[keep][order]
-            lo = np.searchsorted(items, items)
-            lens = np.searchsorted(items, items, side="right") - lo
-            np.subtract.at(block, (np.repeat(pos, lens), pos[_ranges(lo, lens)]), 1.0)
+            block -= self._shared(ids, ids, 0)
         return block

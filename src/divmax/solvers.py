@@ -127,14 +127,10 @@ class _State:
         self.cells = instance.cell_of()
         self.members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
         self.member_cells = [self.cells[ids] for ids in self.members]
-        # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
-        # counts those cells whose load is zero, which backs has_pair
         self.member_of = np.zeros((self.m, self.n), dtype=bool)
-        self.cell_in = np.zeros((self.m, self.n), dtype=bool)
         for j, ids in enumerate(self.members):
             self.member_of[j, ids] = True
-            self.cell_in[j, self.member_cells[j]] = True
-        self.empty_cells = self.cell_in.sum(axis=1)
+        self.empty_cells = None  # built by the first has_pair call
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -158,6 +154,13 @@ class _State:
 
     def has_pair(self, j: int) -> bool:
         """Whether cluster j's free members span two cells; adds only turn it false."""
+        if self.empty_cells is None:
+            # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
+            # counts those cells whose load is zero, kept current from here on
+            self.cell_in = np.zeros((self.m, self.n), dtype=bool)
+            for i, cells in enumerate(self.member_cells):
+                self.cell_in[i, cells] = True
+            self.empty_cells = (self.cell_in & (self.load == 0)).sum(axis=1)
         return self.empty_cells[j] >= 2
 
     def _row(self, j: int, v: int) -> np.ndarray:
@@ -167,7 +170,7 @@ class _State:
         self.sel[j].add(v)
         self.qstate.add(v)
         c = self.cells[v]
-        if self.load[c] == 0:
+        if self.empty_cells is not None and self.load[c] == 0:
             self.empty_cells -= self.cell_in[:, c]
         self.load[c] += 1
 
@@ -176,7 +179,7 @@ class _State:
         self.qstate.remove(v)
         c = self.cells[v]
         self.load[c] -= 1
-        if self.load[c] == 0:
+        if self.empty_cells is not None and self.load[c] == 0:
             self.empty_cells += self.cell_in[:, c]
 
     def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:

@@ -94,10 +94,12 @@ def test_incidence_numbers_items_by_first_use():
 
 def test_cover_incidence_built_on_first_state_and_shared():
     q = QualityFunction.from_dict({"kind": "coverage", "covers": [["b", 3], [], [3, "z"]]})
-    assert q._inc is None  # loading does not build it
+    assert q._inc is None and q._hold is None  # loading builds neither
     a, b = QualityState(q, 3), QualityState(q, 3)
     assert a._inc is b._inc is q.cover_incidence()
+    assert a._hold is b._hold is q.cover_holders()
     assert np.array_equal(q.cover_incidence().toarray(), incidence(q.covers).toarray())
+    assert np.array_equal(q.cover_holders().toarray(), incidence(q.covers).toarray().T)
 
 
 def test_state_tracks_plain_functions():
@@ -143,6 +145,51 @@ def test_state_marginal_pair_matches_plain_function():
                         assert block[a, b] == pytest.approx(marginal_pair(q, sel, u, v))
         with pytest.raises(ValueError):
             st.marginal_pair(2, np.array([3, 2]))
+
+
+def test_state_queries_follow_interleaved_adds_and_removes():
+    rng = np.random.default_rng(23)
+    n = 10
+    base = mixed_covers(rng, n, 8)  # int and string items; element 9 covers nothing
+    for covers in (base, [c | {"all"} for c in base]):  # then one item every element holds
+        q = QualityFunction.coverage(covers)
+        st = QualityState(q, n)
+        sel = []
+        # add, remove and re-add 3; remove 9 before it was ever added; then random steps
+        steps = [("add", 3), ("remove", 3), ("add", 3), ("remove", 9)]
+        steps += [(("add", "remove")[int(rng.integers(0, 2))], int(rng.integers(0, n)))
+                  for _ in range(30)]
+        for op, v in steps:
+            if op == "add":
+                st.add(v)
+                sel = sel if v in sel else sel + [v]
+            else:
+                st.remove(v)
+                sel = [u for u in sel if u != v]
+            assert st.value() == value(q, sel)
+            margs = [marginal(q, sel, v) for v in range(n)]
+            assert [st.marginal(v) for v in range(n)] == margs
+            assert st.marginal_vec(np.arange(n)).tolist() == margs
+            assert not st._gain[sel].any()
+            pair = [[marginal_pair(q, sel, u, v) if u != v else None for v in range(n)]
+                    for u in range(n)]
+            for u in range(n):
+                vs = np.array([v for v in range(n) if v != u])
+                assert st.marginal_pair(u, vs).tolist() == [pair[u][v] for v in vs]
+            for ids in (np.arange(n), rng.permutation(n)[:6]):
+                block = st.marginal_block(ids)
+                for a, u in enumerate(ids):
+                    for b, v in enumerate(ids):
+                        if u != v:
+                            assert block[a, b] == pair[u][v]
+            if sel:
+                outs = np.array(sorted(sel))
+                inns = np.array([v for v in range(n) if v not in sel])
+                D = st.swap_delta(outs, inns)
+                for a, out in enumerate(outs.tolist()):
+                    rest = [v for v in sel if v != out]
+                    for i, inn in enumerate(inns.tolist()):
+                        assert D[a, i] == value(q, rest + [inn]) - value(q, sel)
 
 
 def test_state_marginal_vec():
