@@ -124,12 +124,9 @@ def _cmd_solve(args) -> int:
         harness.save_solution(args.output, solution, val,
                               trace_file=args.trace_out)
     if args.trace_out:
-        import json
         events = [dataclasses.asdict(e) for e in trace.events]
-        with open(args.trace_out, "w") as fh:
-            json.dump({"algorithm": trace.algorithm, "events": events,
-                       "init": trace.init}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        harness._canonical_dump({"algorithm": trace.algorithm, "events": events,
+                                 "init": trace.init}, args.trace_out)
     return 0
 
 

@@ -28,9 +28,10 @@ class DistanceOracle:
         1 - <x, y>.
     jaccard : over a list of n item sets.
     matrix : over an explicit (n, n) distance matrix. Any object supporting
-        scalar [i, j] indexing, [i, id_array] rows and rectangular
-        [np.ix_(us, ids)] blocks works, so large structured matrices can be
-        plugged in without materializing n^2 floats.
+        scalar [i, j] indexing, [i, id_array] rows, paired [us, vs] index
+        arrays and rectangular [np.ix_(us, ids)] blocks works, so large
+        structured matrices can be plugged in without materializing n^2
+        floats.
 
     When n <= cache_limit a dense matrix is built eagerly so later lookups
     are array slices; the oracle is immutable and safe to share across

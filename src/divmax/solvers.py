@@ -111,13 +111,14 @@ class _State:
     seeds the selection (per-cluster collections) without trace events; q
     overrides the tracked quality function.
 
-    With sums, dsum[j][i] is the sum of distances from S_j to members[j][i],
-    kept exact through every add, remove and swap. A pair adds
+    sums(j)[i] is the sum of distances from S_j to members[j][i]. The first
+    sums call builds them for every cluster from the current selection, and
+    every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
-                 q: qual.QualityFunction | None = None, start=None, sums: bool = False):
+                 q: qual.QualityFunction | None = None, start=None):
         self.inst = instance
         self.oracle = instance.oracle()
         self.n = instance.n
@@ -131,6 +132,7 @@ class _State:
         for j, ids in enumerate(self.members):
             self.member_of[j, ids] = True
         self.empty_cells = None  # built by the first has_pair call
+        self.dsum = None  # built by the first sums call
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -140,10 +142,6 @@ class _State:
         for j, S in enumerate(start or ()):
             for v in S:
                 self._add(j, int(v))
-        self.dsum = None
-        if sums:
-            self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0)
-                         for S, ids in zip(self.sel, self.members)]
 
     def free_mask(self, j: int) -> np.ndarray:
         """Which members of cluster j are free, aligned with members[j]."""
@@ -162,6 +160,13 @@ class _State:
                 self.cell_in[i, cells] = True
             self.empty_cells = (self.cell_in & (self.load == 0)).sum(axis=1)
         return self.empty_cells[j] >= 2
+
+    def sums(self, j: int) -> np.ndarray:
+        """Distance sums from S_j to each member of cluster j, aligned with members[j]."""
+        if self.dsum is None:
+            self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0)
+                         for S, ids in zip(self.sel, self.members)]
+        return self.dsum[j]
 
     def _row(self, j: int, v: int) -> np.ndarray:
         return self.oracle.row(v, self.members[j])
@@ -360,7 +365,7 @@ def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -
     ids = st.members[j][free]
     if not qmode:
         # while S_j is empty every sum is zero and the anchor is ids[0]
-        sums = st.dsum[j][free]
+        sums = st.sums(j)[free]
         x = int(ids[sums.argmax()])
         other = st.cells[ids] != st.cells[x]
         pool, sums = ids[other], sums[other]
@@ -394,15 +399,16 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
         order = np.array(sorted(elig, key=lambda j: (-st.budgets[j], j)))
         return order[np.argmax(st.member_of[np.ix_(order, ys)], axis=0)]
 
+    # nothing changes _State within a call, so each first element is read once
+    firsts = {}
+    for j in open_:
+        free = st.free_mask(j)
+        ids = st.members[j][free]
+        meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
+        k = int(np.argmax(meas))
+        firsts[j] = (float(meas[k]), j, int(ids[k]))
     while uncovered:
-        firsts = []
-        for j in sorted(uncovered):
-            free = st.free_mask(j)
-            ids = st.members[j][free]
-            meas = st.qstate.marginal_vec(ids) if qmode else st.dsum[j][free]
-            k = int(np.argmax(meas))
-            firsts.append((float(meas[k]), j, int(ids[k])))
-        x = _pick(firsts)[2]
+        x = _pick([firsts[j] for j in uncovered])[2]
         elig = [j for j in open_ if st.member_of[j, x]]
         pool = np.unique(np.concatenate([st.free_members(j) for j in elig]))
         pool = _partners(st, x, pool)
@@ -439,8 +445,7 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GPA)
-    # only the dispersion-only proposals read the distance sums
-    st = _State(instance, "gpa", sums=instance.quality.kind == "zero")
+    st = _State(instance, "gpa")
     if cfg.enhanced:
         return _greedy_pairs(st, cfg, _enhanced_candidates)
 
@@ -460,7 +465,7 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GELMS)
-    st = _State(instance, "gelms", sums=True)
+    st = _State(instance, "gelms")
     order = _check_order(cfg.cluster_order, st.m) if cfg.cluster_order else list(range(st.m))
     for j in order:
         while len(st.sel[j]) < st.budgets[j]:
@@ -468,7 +473,7 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
             ids = st.members[j][free]
             if ids.size == 0:
                 break
-            gains = st.qstate.marginal_vec(ids) + st.lam * st.dsum[j][free]
+            gains = st.qstate.marginal_vec(ids) + st.lam * st.sums(j)[free]
             k = gains.argmax()
             st.add_single(j, int(ids[k]), float(gains[k]))
     return st.finish()
@@ -530,21 +535,14 @@ def _local_search(instance: Instance, config: SolverConfig | None,
         bad = is_feasible(instance, init)
         if bad:
             raise ValueError(f"infeasible local search start: {bad[0]}")
-    lam = float(instance.lam)
-    q = instance.quality
     # lsg climbs the union's global dispersion and ignores quality.
-    st = _State(instance, name, q if use_combined else qual.QualityFunction.zero(),
+    st = _State(instance, name, None if use_combined else qual.QualityFunction.zero(),
                 start=init.selected)
     oracle, cells = st.oracle, st.cells
-    scale = lam if use_combined else 1.0
-
-    def evaluate() -> float:
-        union = sorted({v for S in st.sel for v in S})
-        if use_combined:
-            return qual.value(q, union) + lam * objective.intra_dispersion(oracle, st.sel)
-        return objective.cluster_dispersion(oracle, union)
-
-    f_cur = evaluate()
+    scale = st.lam if use_combined else 1.0
+    # evaluated once; each applied swap adds its gain
+    f_cur = (objective.combined_objective(instance, init).combined if use_combined
+             else objective.global_dispersion(oracle, init))
     cap = cfg.max_ls_iters
     if cap is None:
         cap = 10 * st.n * (int(st.budgets.max()) if st.m else 0)
@@ -580,7 +578,7 @@ def _local_search(instance: Instance, config: SolverConfig | None,
             break
         delta, j, out, inn = _pick(cands)
         st.swap(j, out, inn, delta)
-        f_cur = evaluate()
+        f_cur += delta
     return st.finish()
 
 
@@ -592,10 +590,11 @@ def solve_lsi(instance: Instance, config: SolverConfig | None = None,
     one element of S_j by a free member of cluster j whose cell is unused
     once the element leaves. Each step applies the best swap, breaking ties
     by smaller cluster id, then smaller outgoing id, then smaller incoming
-    id, while its gain exceeds epsilon times the current objective, up to
-    max_ls_iters swaps (default 10 * n * max budget). Returns (Solution,
-    SolveTrace); the trace stores the start and one swap event per move,
-    whose gain is the change of the combined objective up to rounding.
+    id, while its gain exceeds epsilon times the current objective (the
+    start's objective plus the gains taken), up to max_ls_iters swaps
+    (default 10 * n * max budget). Returns (Solution, SolveTrace); the trace
+    stores the start and one swap event per move, whose gain is the change
+    of the combined objective up to rounding.
     """
     return _local_search(instance, config, init, use_combined=True, name="lsi")
 

@@ -8,6 +8,7 @@ import pytest
 from divmax import (Algorithm, Cluster, GenSpec, Instance, QualityFunction, Solution,
                     SolverConfig, combined_objective, gen_random, global_dispersion,
                     solve_lsg, solve_lsi)
+from divmax import objective, quality as qual
 
 
 def _covered(n, seed, universe=200, size=8):
@@ -81,28 +82,42 @@ def _small_instance(seed, quality, cells):
     return dataclasses.replace(base, quality=q, partition=partition, lam=0.5)
 
 
+def _check_against_reference(inst, algorithm, cfg):
+    """Every swap is the reference's, and the run stops where the reference does."""
+    solver = solve_lsi if algorithm == "lsi" else solve_lsg
+    sol, trace = solver(inst, cfg)
+    sets = [set(S) for S in trace.init]
+    for e in trace.events:
+        ref = _reference_swap(inst, sets, algorithm, cfg.epsilon)
+        assert ref is not None
+        assert (e.cluster, *e.elements) == ref[1:]
+        assert e.gain == pytest.approx(ref[0], rel=1e-9, abs=1e-9)
+        out, inn = e.elements
+        sets[e.cluster].discard(out)
+        sets[e.cluster].add(inn)
+    if cfg.max_ls_iters is None or len(trace.events) < cfg.max_ls_iters:
+        assert _reference_swap(inst, sets, algorithm, cfg.epsilon) is None
+    assert [tuple(sorted(S)) for S in sets] == list(sol.selected)
+
+
 @pytest.mark.parametrize("algorithm", ["lsi", "lsg"])
 @pytest.mark.parametrize("quality", ["zero", "modular", "coverage"])
 @pytest.mark.parametrize("cells", [False, True])
 def test_swaps_match_brute_force_reference(algorithm, quality, cells):
-    solver = solve_lsi if algorithm == "lsi" else solve_lsg
     for seed in range(3):
-        inst = _small_instance(seed, quality, cells)
         cfg = SolverConfig(algorithm=Algorithm(algorithm), seed=seed, epsilon=1e-3,
                            max_ls_iters=25)
-        sol, trace = solver(inst, cfg)
-        sets = [set(S) for S in trace.init]
-        for e in trace.events:
-            ref = _reference_swap(inst, sets, algorithm, cfg.epsilon)
-            assert ref is not None
-            assert (e.cluster, *e.elements) == ref[1:]
-            assert e.gain == pytest.approx(ref[0], rel=1e-9, abs=1e-9)
-            out, inn = e.elements
-            sets[e.cluster].discard(out)
-            sets[e.cluster].add(inn)
-        if len(trace.events) < cfg.max_ls_iters:
-            assert _reference_swap(inst, sets, algorithm, cfg.epsilon) is None
-        assert [tuple(sorted(S)) for S in sets] == list(sol.selected)
+        _check_against_reference(_small_instance(seed, quality, cells), algorithm, cfg)
+
+
+@pytest.mark.parametrize("algorithm", ["lsi", "lsg"])
+def test_epsilon_rule_reads_the_current_objective(algorithm):
+    # at this epsilon some runs stop on a swap that would pass against the
+    # start's objective but not against the current one
+    for quality in ("zero", "modular", "coverage"):
+        for seed in range(3):
+            cfg = SolverConfig(algorithm=Algorithm(algorithm), seed=seed, epsilon=0.05)
+            _check_against_reference(_small_instance(seed, quality, True), algorithm, cfg)
 
 
 def test_swap_ties_break_by_cluster_then_out_then_inn():
@@ -117,3 +132,30 @@ def test_swap_ties_break_by_cluster_then_out_then_inn():
     assert [(e.cluster, e.elements) for e in trace.events] == [(0, (0, 2)), (1, (4, 6))]
     _, trace = solve_lsg(inst, SolverConfig(algorithm=Algorithm.LSG), init=init)
     assert [(e.cluster, e.elements) for e in trace.events] == [(0, (0, 2)), (0, (1, 3))]
+
+
+@pytest.mark.parametrize("algorithm", ["lsi", "lsg"])
+def test_objective_is_evaluated_once_for_the_start(monkeypatch, algorithm):
+    # each swap adds its gain to the running objective; nothing re-evaluates it
+    base = gen_random(GenSpec(family="random", n=60, m=3, budgets=4, overlap=2, seed=1))
+    inst = dataclasses.replace(base, quality=_covered(60, 1))
+    calls = {"intra_dispersion": 0, "cluster_dispersion": 0, "value": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(objective, "intra_dispersion")
+    counting(objective, "cluster_dispersion")
+    counting(qual, "value")
+    solver = solve_lsi if algorithm == "lsi" else solve_lsg
+    _, trace = solver(inst, SolverConfig(algorithm=Algorithm(algorithm), seed=1))
+    assert len(trace.events) >= 5
+    want = ({"intra_dispersion": 1, "cluster_dispersion": inst.m, "value": 1}
+            if algorithm == "lsi" else
+            {"intra_dispersion": 0, "cluster_dispersion": 1, "value": 0})
+    assert calls == want

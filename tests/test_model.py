@@ -1,10 +1,13 @@
 """Instance, solution, feasibility, saturation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from divmax import (Cluster, Instance, QualityFunction, Solution, available_elements,
-                    is_feasible, is_saturated, min_coverage_filter, validate_instance)
+from divmax import (Cluster, GenSpec, Instance, QualityFunction, Solution, TightDistances,
+                    available_elements, gen_tight, is_feasible, is_saturated,
+                    min_coverage_filter, validate_instance)
 
 
 def line_instance(budgets=(2, 2), partition=None, lam=1.0, quality=None):
@@ -53,6 +56,30 @@ def test_validate_asymmetric_matrix():
                     clusters=[Cluster(id=0, members=(0, 1), budget=1)], metric="matrix")
     report = validate_instance(inst)
     assert any(v.kind == "metric" and "asymmetric" in v.message for v in report)
+
+
+def _triangle_reference(M, n):
+    """The sampled triangle test, one triple at a time in sample order."""
+    trips = np.random.default_rng(0).integers(0, n, size=(10 * n, 3))
+    for u, v, w in trips:
+        duw, duv, dvw = M[u, w], M[u, v], M[v, w]
+        if duw > duv + dvw + 1e-9:
+            return (f"triangle inequality fails on ({u}, {v}, {w}): "
+                    f"{duw:.9g} > {duv:.9g} + {dvw:.9g}")
+    return None
+
+
+def test_validate_triangle_violation_matches_reference_loop():
+    X = np.random.default_rng(4).random((40, 2))
+    M = ((X[:, None] - X[None]) ** 2).sum(axis=2)  # squared euclidean
+    inst = Instance(n=40, feature_kind="matrix", features=None, distance_matrix=M,
+                    clusters=[Cluster(id=0, members=range(40), budget=2)], metric="matrix")
+    want = _triangle_reference(M, 40)
+    assert want is not None
+    assert [(v.kind, v.message) for v in validate_instance(inst)] == [("metric", want)]
+    dense, _, _ = gen_tight(GenSpec(family="tight", q=3))
+    structural = dataclasses.replace(dense, distance_matrix=TightDistances(3, 1e-6))
+    assert validate_instance(dense) == [] and validate_instance(structural) == []
 
 
 def test_oracle_leaves_the_callers_matrix_alone():

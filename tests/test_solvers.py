@@ -221,14 +221,14 @@ def test_state_sums_and_open_check_stay_exact(n):
     # 12 cells: clusters run out of cross-cell pairs, and removals reopen them
     inst = _overlapping(n, 17, [8, 8, 8], partition=(np.arange(n) % 12).tolist())
     start = [inst.clusters[0].members[:2], (), inst.clusters[2].members[:1]]
-    st = solvers._State(inst, "sums", start=start, sums=True)
+    st = solvers._State(inst, "sums", start=start)
     rng = np.random.default_rng(19)
     seen = set()
 
     def check():
         for j in range(st.m):
             want = st.oracle.rows(sorted(st.sel[j]), st.members[j]).sum(axis=0)
-            np.testing.assert_allclose(st.dsum[j], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(st.sums(j), want, rtol=0, atol=1e-12)
             assert st.has_pair(j) == (np.unique(st.cells[st.free_members(j)]).size >= 2)
             seen.add(bool(st.has_pair(j)))
 
@@ -291,6 +291,37 @@ def test_row_calls_only_where_read(monkeypatch):
             calls["distance"] = 0
             solve(case, config)
             assert calls["distance"] == 0, (case.quality.kind, config)
+
+
+@pytest.mark.parametrize("quality", ["coverage", "zero"])
+def test_enhanced_reads_each_first_element_once_per_call(monkeypatch, quality):
+    q = (QualityFunction.coverage([[v % 70, v % 31] for v in range(200)])
+         if quality == "coverage" else QualityFunction.zero())
+    inst = _overlapping(200, 29, [6, 8, 4, 6, 7], quality=q)
+    reads, calls = [0], []
+    real_vec, real_sums = solvers.qual.QualityState.marginal_vec, solvers._State.sums
+    real_candidates = solvers._enhanced_candidates
+
+    def marginal_vec(self, ids):
+        reads[0] += 1
+        return real_vec(self, ids)
+
+    def sums(self, j):
+        reads[0] += 1
+        return real_sums(self, j)
+
+    def candidates(st, open_, qmode, weights):
+        before = reads[0]
+        cands = real_candidates(st, open_, qmode, weights)
+        calls.append((len(open_), reads[0] - before, len(cands)))
+        return cands
+
+    monkeypatch.setattr(solvers.qual.QualityState, "marginal_vec", marginal_vec)
+    monkeypatch.setattr(solvers._State, "sums", sums)
+    monkeypatch.setattr(solvers, "_enhanced_candidates", candidates)
+    solve_gpa(inst, SolverConfig(algorithm=Algorithm.GPA, enhanced=True))
+    assert max(rounds for _, _, rounds in calls) > 1  # the covering scheme repeats
+    assert [(k, r) for k, r, _ in calls] == [(k, k) for k, _, _ in calls]
 
 
 def test_alpha_acceptable_threshold():
