@@ -139,6 +139,11 @@ def _small_cases() -> dict:
     cases["odd-zero"] = odd
     cases["odd-coverage-cells"] = dataclasses.replace(
         odd, quality=_quality("coverage", 60, 72), partition=_cells(60, 120, 73))
+    # every element in three of five clusters and 24 cells for 50 elements:
+    # a pair added to one cluster fills cells that other clusters hold
+    shared = _random(50, 5, [6, 4, 7, 4, 6], seed=91, overlap=3)
+    cases["overlap-modular-sharedcells"] = dataclasses.replace(
+        shared, quality=_quality("modular", 50, 92), partition=_cells(50, 24, 93))
     return cases
 
 
