@@ -108,13 +108,19 @@ class _State:
     load[c] counts the selected elements in partition cell c, and an element
     is free when its cell's load is zero. A selected element fills its own
     cell, so the same rule also excludes every element already taken. start
-    seeds the selection (per-cluster collections) without trace events; q
-    overrides the tracked quality function.
+    seeds the selection (per-cluster collections) in one batch, without
+    trace events; q overrides the tracked quality function.
 
     sums(j)[i] is the sum of distances from S_j to members[j][i]. The first
     sums call builds them for every cluster from the current selection, and
     every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
+
+    version[j] is built with empty_cells by the first has_pair call. Each
+    add or drop that moves a cell's load across zero bumps it for every
+    cluster with a member in that cell, so an unmoved version[j] means an
+    unchanged free set of cluster j. A cluster that receives an element holds
+    that element's cell, so its version also moves whenever sums(j) does.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
@@ -133,15 +139,17 @@ class _State:
             self.member_of[j, ids] = True
         self.empty_cells = None  # built by the first has_pair call
         self.dsum = None  # built by the first sums call
-        self.load = np.zeros(self.n, dtype=int)
+        picks = [(j, int(v)) for j, S in enumerate(start or ()) for v in S]
         self.sel = [set() for _ in range(self.m)]
-        self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
+        for j, v in picks:
+            self.sel[j].add(v)
+        chosen = np.asarray([v for _, v in picks], dtype=int)
+        self.load = np.bincount(self.cells[chosen], minlength=self.n)
+        self.qstate = qual.QualityState(instance.quality if q is None else q, self.n,
+                                        start=chosen)
         self.events = []
         self.algorithm = algorithm
         self.init = start
-        for j, S in enumerate(start or ()):
-            for v in S:
-                self._add(j, int(v))
 
     def free_mask(self, j: int) -> np.ndarray:
         """Which members of cluster j are free, aligned with members[j]."""
@@ -154,11 +162,13 @@ class _State:
         """Whether cluster j's free members span two cells; adds only turn it false."""
         if self.empty_cells is None:
             # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
-            # counts those cells whose load is zero, kept current from here on
+            # counts those cells whose load is zero and version[j] how often
+            # one of them filled or emptied, both kept current from here on
             self.cell_in = np.zeros((self.m, self.n), dtype=bool)
             for i, cells in enumerate(self.member_cells):
                 self.cell_in[i, cells] = True
             self.empty_cells = (self.cell_in & (self.load == 0)).sum(axis=1)
+            self.version = np.zeros(self.m, dtype=int)
         return self.empty_cells[j] >= 2
 
     def sums(self, j: int) -> np.ndarray:
@@ -176,7 +186,9 @@ class _State:
         self.qstate.add(v)
         c = self.cells[v]
         if self.empty_cells is not None and self.load[c] == 0:
-            self.empty_cells -= self.cell_in[:, c]
+            touched = self.cell_in[:, c]
+            self.empty_cells -= touched
+            self.version += touched
         self.load[c] += 1
 
     def _drop(self, j: int, v: int) -> None:
@@ -185,7 +197,9 @@ class _State:
         c = self.cells[v]
         self.load[c] -= 1
         if self.empty_cells is not None and self.load[c] == 0:
-            self.empty_cells += self.cell_in[:, c]
+            touched = self.cell_in[:, c]
+            self.empty_cells += touched
+            self.version += touched
 
     def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:
         self.events.append(TraceEvent(len(self.events), kind, j, elements, gain))
@@ -319,10 +333,28 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
     Each round lists the open clusters: those with room for a pair under
     their loop budget (even-rounded down, or up under the round-up removal
     policy) whose free members span two cells. propose(st, open_, qmode,
-    weights) returns candidates (gain, j, u, v) for them, and the _pick
-    winner is added. Odd budgets are then settled by the configured policy:
-    one extra element per odd cluster, or removal of the element with the
-    smallest contribution measure.
+    weights) returns candidates (gain, j, u, v), and the _pick winner is
+    added. Odd budgets are then settled by the configured policy: one extra
+    element per odd cluster, or removal of the element with the smallest
+    contribution measure.
+
+    gp and gpa propose through _lazy_round, which keeps each cluster's last
+    proposal and returns the same winner as proposing for every open cluster:
+    - Exact reuse: with zero or modular quality a proposal depends only on
+      the cluster's free members (and, for zero-quality gpa, on sums(j),
+      which moves only with the version), so one whose _State.version has
+      not moved is reused as it is.
+    - Bounds (gp only): the free set only shrinks, coverage marginals only
+      fall and fl(m + c) is monotone in m, so a cluster's best pair score
+      never rises and a stale score bounds the current one. Stale clusters
+      are refreshed in order of (-bound, j) until the best fresh gain is
+      strictly above the next bound; an equal bound is refreshed, so every
+      cluster that could win or tie is fresh and _pick sees it. This needs a
+      pair's distance to read the same in every block, which holds for
+      cached reads and every uncached kernel but cosine, whose rows may
+      differ in the last bit with their position in the batch.
+    Coverage-quality gpa refreshes every cluster every round: its anchor can
+    change with no bound. The covering scheme proposes for whole rounds.
     """
     qmode = st.inst.quality.kind != "zero"
     policy = _default_policy(st.inst, config)
@@ -340,19 +372,44 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
     return st.finish()
 
 
+def _lazy_round(propose_one, bound: bool):
+    """A round proposer over propose_one(st, j, qmode, weight) that reuses
+    proposals by the rules in _greedy_pairs; bound says whether a stale
+    proposal's gain bounds the cluster's current one.
+    """
+    last = {}  # j -> (version[j] when proposed, proposal)
+
+    def propose(st, open_, qmode, weights):
+        exact = st.inst.quality.kind != "coverage"
+        fresh, stale = [], []
+        for j in open_:
+            seen = last.get(j)
+            if seen is not None and exact and seen[0] == st.version[j]:
+                fresh.append(seen[1])
+            else:
+                stale.append((-seen[1][0] if seen is not None and bound else -math.inf, j))
+        top = max((c[0] for c in fresh), default=-math.inf)
+        for key, j in sorted(stale):
+            if top > -key:
+                break
+            cand = propose_one(st, j, qmode, int(weights[j]))
+            last[j] = (st.version[j], cand)
+            fresh.append(cand)
+            top = max(top, cand[0])
+        return fresh
+    return propose
+
+
 def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """Greedy pairs: repeatedly add the globally best feasible pair.
 
-    Each round scans every open cluster and adds the pair with the largest
-    score anywhere; see _greedy_pairs for the rounds and the odd budgets.
+    Each round adds the pair with the largest score in any open cluster; see
+    _greedy_pairs for the rounds, the reuse of proposals and the odd budgets.
 
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GP)
-
-    def propose(st, open_, qmode, weights):
-        return [_best_pair(st, j, qmode, int(weights[j])) for j in open_]
-    return _greedy_pairs(_State(instance, "gp"), cfg, propose)
+    return _greedy_pairs(_State(instance, "gp"), cfg, _lazy_round(_best_pair, bound=True))
 
 
 def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
@@ -440,7 +497,7 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     combined pair score; both are exact argmaxes, which satisfy the alpha
     relaxation for every alpha <= 1. The best proposal wins the round. The
     enhanced flag switches proposals to the covering scheme (alpha ignored).
-    Rounds and odd budgets are as in _greedy_pairs.
+    Rounds, the reuse of proposals and odd budgets are as in _greedy_pairs.
 
     Returns (Solution, SolveTrace).
     """
@@ -449,9 +506,9 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     if cfg.enhanced:
         return _greedy_pairs(st, cfg, _enhanced_candidates)
 
-    def propose(st, open_, qmode, weights):
-        return [_gpa_candidate(st, j, cfg.alpha, qmode, int(weights[j])) for j in open_]
-    return _greedy_pairs(st, cfg, propose)
+    def propose_one(st, j, qmode, weight):
+        return _gpa_candidate(st, j, cfg.alpha, qmode, weight)
+    return _greedy_pairs(st, cfg, _lazy_round(propose_one, bound=False))
 
 
 def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple:

@@ -324,6 +324,62 @@ def test_enhanced_reads_each_first_element_once_per_call(monkeypatch, quality):
     assert [(k, r) for k, r, _ in calls] == [(k, k) for k, _, _ in calls]
 
 
+def _eager_pairs(inst, config):
+    """gp or gpa proposing afresh for every open cluster every round."""
+    def propose(st, open_, qmode, weights):
+        if config.algorithm == Algorithm.GP:
+            return [solvers._best_pair(st, j, qmode, int(weights[j])) for j in open_]
+        return [solvers._gpa_candidate(st, j, config.alpha, qmode, int(weights[j]))
+                for j in open_]
+    return solvers._greedy_pairs(solvers._State(inst, config.algorithm.value), config, propose)
+
+
+def _shared_cells(seed):
+    """Overlapping clusters over shared cells; lambda 0 makes coverage scores tie often."""
+    rng = np.random.default_rng([41, seed])
+    n, m = int(rng.integers(30, 71)), int(rng.integers(2, 7))
+    inst = gen_random(GenSpec(family="random", n=n, m=m, overlap=int(rng.integers(1, m + 1)),
+                              budgets=rng.integers(1, 10, size=m).tolist(), seed=seed))
+    kind = ("zero", "modular", "coverage")[seed % 3]
+    q = {"zero": QualityFunction.zero(),
+         "modular": QualityFunction.modular(rng.random(n)),
+         "coverage": QualityFunction.coverage(
+             [rng.choice(2 * n, size=3, replace=False).tolist() for _ in range(n)])}[kind]
+    return dataclasses.replace(inst, quality=q, lam=(1.0, 0.0, 0.37)[seed // 3 % 3],
+                               partition=rng.integers(0, n // 2, size=n).tolist())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lazy_proposals_match_eager_rounds(seed):
+    inst = _shared_cells(seed)
+    policy = (OddPolicy.ALG1_ARBITRARY, OddPolicy.ROUNDUP_REMOVE)[seed % 2]
+    for config in (SolverConfig(algorithm=Algorithm.GP, odd_policy=policy),
+                   SolverConfig(algorithm=Algorithm.GPA, odd_policy=policy, alpha=1.0),
+                   SolverConfig(algorithm=Algorithm.GPA, odd_policy=policy, alpha=0.5)):
+        sol, trace = solve(inst, config)
+        want_sol, want_trace = _eager_pairs(inst, config)
+        assert sol.selected == want_sol.selected
+        assert trace.events == want_trace.events
+
+
+def test_untouched_proposals_are_reused(monkeypatch):
+    # four disjoint clusters, singleton cells: an add changes only its own cluster
+    rng = np.random.default_rng(43)
+    inst = points_instance(rng.random((60, 2)),
+                           [(tuple(range(15 * j, 15 * j + 15)), b)
+                            for j, b in enumerate([6, 8, 4, 7])])
+    calls = {"_best_pair": 0, "_gpa_candidate": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(solvers, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    for algorithm, name in ((Algorithm.GP, "_best_pair"), (Algorithm.GPA, "_gpa_candidate")):
+        _, trace = solve(inst, SolverConfig(algorithm=algorithm))
+        rounds = sum(e.kind == "pair" for e in trace.events)
+        assert rounds == 12 and calls[name] <= inst.m + rounds - 1, algorithm
+
+
 def test_alpha_acceptable_threshold():
     inst = points_instance([0, 1, 2, 3], [((0, 1, 2, 3), 2)])
     partial = [set()]
