@@ -47,6 +47,11 @@ class DistanceOracle:
     differ in the last bit, and so may d(u, v) read from a cosine row of u
     and from one of v. distance, row, rows and pairwise all raise IndexError
     for an id outside [0, n).
+
+    block_invariant says whether d(u, v) reads the same bits in every block
+    that holds v. It does for cached reads and every uncached kernel but
+    cosine, whose BLAS matrix-vector product may round an entry apart with
+    the other rows of the block.
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -85,6 +90,7 @@ class DistanceOracle:
 
         if self.n <= cache_limit:
             self._cache = self._build_cache()
+        self.block_invariant = self._cache is not None or metric != "cosine"
 
     def _build_cache(self) -> np.ndarray:
         if self.metric == "euclidean":
@@ -138,8 +144,12 @@ class DistanceOracle:
         if self._cache is not None:
             return self._cache[u, ids]  # a new array; the cache's diagonal is zero
         if self.metric == "euclidean":
-            out = np.linalg.norm(self._X[ids] - self._X[u], axis=1)
-        elif self.metric == "cosine":
+            # np.linalg.norm(d, axis=1) without its wrapper, bit for bit; u's
+            # own entry needs no fix-up, as x - x is exactly zero
+            d = self._X[ids] - self._X[u]
+            d *= d
+            return np.sqrt(np.add.reduce(d, axis=1))
+        if self.metric == "cosine":
             out = np.clip(1.0 - self._X[ids] @ self._X[u], 0.0, None)
         elif self.metric == "jaccard":
             out = self._jaccard_block([u], ids)[0]

@@ -163,30 +163,18 @@ class QualityState:
     cost in the holders of the items they cover or uncover, not in n; pair
     queries count overlaps through it (_shared). remove() exists for the
     round-up removal step and local search.
-
-    start selects its ids at construction with the state add() would reach
-    adding them in order (repeats ignored): _count is one bincount of their
-    items and _gain one of every element's items that _count leaves at 0.
     """
 
-    def __init__(self, q: QualityFunction, n: int, start=()):
+    def __init__(self, q: QualityFunction, n: int):
         self.q = q
         self.n = n
         self.in_sel = np.zeros(n, dtype=bool)
         self._total = 0.0
-        start = np.asarray(list(dict.fromkeys(int(v) for v in start)), dtype=int)
-        self.in_sel[start] = True
-        if q.kind == "modular":
-            for v in start:  # in order, as add() would sum them
-                self._total += float(q.weights[v])
-        elif q.kind == "coverage":
+        if q.kind == "coverage":
             self._inc = q.cover_incidence()
             self._hold = q.cover_holders()
-            # int64 throughout: int32 slows the ufunc.at updates 4x
-            rows, items = self._inc.shape
-            self._count = np.bincount(_entries(self._inc, start)[1], minlength=items)
-            owner = np.arange(rows).repeat(np.diff(self._inc.indptr))
-            self._gain = np.bincount(owner[self._count[self._inc.indices] == 0], minlength=rows)
+            self._count = np.zeros(self._inc.shape[1], dtype=int)
+            self._gain = np.diff(self._inc.indptr).astype(int)  # int32 slows ufunc.at 4x
             self._pos = np.full(n, -1)  # reused buffer: batch position of each id, -1 elsewhere
 
     def _items(self, v: int) -> np.ndarray:

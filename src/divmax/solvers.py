@@ -24,10 +24,11 @@ the same scale. objective.pair_gain_combined returns the same score.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -108,19 +109,13 @@ class _State:
     load[c] counts the selected elements in partition cell c, and an element
     is free when its cell's load is zero. A selected element fills its own
     cell, so the same rule also excludes every element already taken. start
-    seeds the selection (per-cluster collections) in one batch, without
-    trace events; q overrides the tracked quality function.
+    seeds the selection (per-cluster collections) without trace events; q
+    overrides the tracked quality function.
 
     sums(j)[i] is the sum of distances from S_j to members[j][i]. The first
     sums call builds them for every cluster from the current selection, and
     every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
-
-    version[j] is built with empty_cells by the first has_pair call. Each
-    add or drop that moves a cell's load across zero bumps it for every
-    cluster with a member in that cell, so an unmoved version[j] means an
-    unchanged free set of cluster j. A cluster that receives an element holds
-    that element's cell, so its version also moves whenever sums(j) does.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
@@ -139,17 +134,15 @@ class _State:
             self.member_of[j, ids] = True
         self.empty_cells = None  # built by the first has_pair call
         self.dsum = None  # built by the first sums call
-        picks = [(j, int(v)) for j, S in enumerate(start or ()) for v in S]
+        self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
-        for j, v in picks:
-            self.sel[j].add(v)
-        chosen = np.asarray([v for _, v in picks], dtype=int)
-        self.load = np.bincount(self.cells[chosen], minlength=self.n)
-        self.qstate = qual.QualityState(instance.quality if q is None else q, self.n,
-                                        start=chosen)
+        self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
         self.events = []
         self.algorithm = algorithm
         self.init = start
+        for j, S in enumerate(start or ()):
+            for v in S:
+                self._add(j, int(v))
 
     def free_mask(self, j: int) -> np.ndarray:
         """Which members of cluster j are free, aligned with members[j]."""
@@ -162,13 +155,11 @@ class _State:
         """Whether cluster j's free members span two cells; adds only turn it false."""
         if self.empty_cells is None:
             # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
-            # counts those cells whose load is zero and version[j] how often
-            # one of them filled or emptied, both kept current from here on
+            # counts those cells whose load is zero, kept current from here on
             self.cell_in = np.zeros((self.m, self.n), dtype=bool)
             for i, cells in enumerate(self.member_cells):
                 self.cell_in[i, cells] = True
             self.empty_cells = (self.cell_in & (self.load == 0)).sum(axis=1)
-            self.version = np.zeros(self.m, dtype=int)
         return self.empty_cells[j] >= 2
 
     def sums(self, j: int) -> np.ndarray:
@@ -186,9 +177,7 @@ class _State:
         self.qstate.add(v)
         c = self.cells[v]
         if self.empty_cells is not None and self.load[c] == 0:
-            touched = self.cell_in[:, c]
-            self.empty_cells -= touched
-            self.version += touched
+            self.empty_cells -= self.cell_in[:, c]
         self.load[c] += 1
 
     def _drop(self, j: int, v: int) -> None:
@@ -197,14 +186,15 @@ class _State:
         c = self.cells[v]
         self.load[c] -= 1
         if self.empty_cells is not None and self.load[c] == 0:
-            touched = self.cell_in[:, c]
-            self.empty_cells += touched
-            self.version += touched
+            self.empty_cells += self.cell_in[:, c]
 
     def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:
         self.events.append(TraceEvent(len(self.events), kind, j, elements, gain))
 
     def add_pair(self, j: int, u: int, v: int, gain: float) -> None:
+        if self.load[self.cells[u]] or self.load[self.cells[v]]:
+            # a proposal kept past an add that took one of its elements
+            raise RuntimeError(f"pair ({u}, {v}) for cluster {j} is not free")
         self._add(j, u)
         self._add(j, v)
         if self.dsum is not None:
@@ -261,6 +251,8 @@ def _pick(cands: list) -> tuple:
     The key is applied a part at a time, so ids are compared only between
     candidates that tie on gain and cluster; gains are never NaN.
     """
+    if len(cands) == 1:
+        return cands[0]
     top = max(c[0] for c in cands)
     j = min(c[1] for c in cands if c[0] == top)
     return min((c for c in cands if c[0] == top and c[1] == j),
@@ -340,25 +332,30 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
 
     gp and gpa propose through _lazy_round, which keeps each cluster's last
     proposal and returns the same winner as proposing for every open cluster:
+    - Versions: the loop only adds, so empty_cells[j] only falls, and it
+      falls exactly when a cell of cluster j fills. That changes the free
+      members of j, and every add to S_j fills a cell of j, so a change to
+      sums(j) moves it too. empty_cells[j] is therefore j's version.
     - Exact reuse: with zero or modular quality a proposal depends only on
-      the cluster's free members (and, for zero-quality gpa, on sums(j),
-      which moves only with the version), so one whose _State.version has
-      not moved is reused as it is.
+      the free members and, for zero-quality gpa, on sums(j), so one whose
+      version has not moved is reused as it is. Coverage marginals move with
+      every add, so there a proposal is fresh only within its own round.
     - Bounds (gp only): the free set only shrinks, coverage marginals only
       fall and fl(m + c) is monotone in m, so a cluster's best pair score
-      never rises and a stale score bounds the current one. Stale clusters
-      are refreshed in order of (-bound, j) until the best fresh gain is
-      strictly above the next bound; an equal bound is refreshed, so every
-      cluster that could win or tie is fresh and _pick sees it. This needs a
-      pair's distance to read the same in every block, which holds for
-      cached reads and every uncached kernel but cosine, whose rows may
-      differ in the last bit with their position in the batch.
-    Coverage-quality gpa refreshes every cluster every round: its anchor can
-    change with no bound. The covering scheme proposes for whole rounds.
+      never rises and a stale score bounds the current one. Proposals wait
+      in a heap keyed (-gain, j); a stale top is refreshed and pushed back
+      until the top is fresh. Every other cluster then scores below it, or
+      ties it with a larger j, so the top is the _pick winner. The bound
+      needs d(u, v) to read the same in every block, so gp refreshes every
+      stale cluster first, as gpa does, when the oracle is not
+      block_invariant (uncached cosine).
+    Coverage-quality gpa thus refreshes every open cluster every round: its
+    anchor can change with no bound. The covering scheme proposes for whole
+    rounds.
     """
     qmode = st.inst.quality.kind != "zero"
     policy = _default_policy(st.inst, config)
-    loopb = _loop_budgets(st.budgets, policy)
+    loopb = _loop_budgets(st.budgets, policy).tolist()
     weights = _pair_weights(st.budgets, qmode)
     open_ = range(st.m)
     while True:
@@ -374,29 +371,41 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
 
 def _lazy_round(propose_one, bound: bool):
     """A round proposer over propose_one(st, j, qmode, weight) that reuses
-    proposals by the rules in _greedy_pairs; bound says whether a stale
-    proposal's gain bounds the cluster's current one.
+    proposals by the rules in _greedy_pairs and returns the winner alone;
+    bound says whether a stale proposal's gain bounds the cluster's current
+    one.
     """
-    last = {}  # j -> (version[j] when proposed, proposal)
+    heap = []  # (-gain, j, seq) of every proposal made, newest per j valid
+    last = {}  # j -> (seq, version when proposed, proposal)
+    seq = count()
 
     def propose(st, open_, qmode, weights):
-        exact = st.inst.quality.kind != "coverage"
-        fresh, stale = [], []
-        for j in open_:
-            seen = last.get(j)
-            if seen is not None and exact and seen[0] == st.version[j]:
-                fresh.append(seen[1])
-            else:
-                stale.append((-seen[1][0] if seen is not None and bound else -math.inf, j))
-        top = max((c[0] for c in fresh), default=-math.inf)
-        for key, j in sorted(stale):
-            if top > -key:
-                break
+        # each cluster's current version: under coverage quality the round
+        if st.inst.quality.kind == "coverage":
+            now = [len(st.events)] * st.m
+        else:
+            now = st.empty_cells.tolist()
+
+        def refresh(j):
             cand = propose_one(st, j, qmode, int(weights[j]))
-            last[j] = (st.version[j], cand)
-            fresh.append(cand)
-            top = max(top, cand[0])
-        return fresh
+            k = next(seq)
+            last[j] = (k, now[j], cand)
+            heapq.heappush(heap, (-cand[0], j, k))
+
+        if not (last and bound and st.oracle.block_invariant):
+            # no bounds to trust: refresh every stale cluster before the top
+            for j in open_:
+                if j not in last or last[j][1] != now[j]:
+                    refresh(j)
+        opened = set(open_)
+        while True:
+            _, j, k = heap[0]
+            kj, version, cand = last[j]
+            if version == now[j] and k == kj and j in opened:
+                return [cand]
+            heapq.heappop(heap)
+            if k == kj and j in opened:
+                refresh(j)  # stale, and its bound leads
     return propose
 
 

@@ -192,25 +192,6 @@ def test_state_queries_follow_interleaved_adds_and_removes():
                         assert D[a, i] == value(q, rest + [inn]) - value(q, sel)
 
 
-def test_state_start_equals_replayed_adds():
-    rng = np.random.default_rng(29)
-    n = 12
-    base = mixed_covers(rng, n, 8)  # element 9 covers nothing
-    qs = (QualityFunction.zero(), QualityFunction.modular(rng.random(n)),
-          QualityFunction.coverage(base), QualityFunction.coverage([c | {"all"} for c in base]))
-    for q in qs:
-        for start in ([], [9], [5, 3, 9, 3, 0], rng.permutation(n).tolist()):
-            batch, replay = QualityState(q, n, start=start), QualityState(q, n)
-            for v in start:
-                replay.add(v)
-            assert batch.in_sel.tolist() == replay.in_sel.tolist()
-            assert batch.value().hex() == replay.value().hex()
-            if q.kind == "coverage":
-                for got, want in ((batch._count, replay._count), (batch._gain, replay._gain)):
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
-
-
 def test_state_marginal_vec():
     q = QualityFunction.coverage([K1, K2, frozenset({"s9"})])
     st = QualityState(q, 3)

@@ -349,9 +349,35 @@ def _shared_cells(seed):
                                partition=rng.integers(0, n // 2, size=n).tolist())
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_lazy_proposals_match_eager_rounds(seed):
-    inst = _shared_cells(seed)
+def _cosine_twins(seed):
+    """Near-twin clusters read through an uncached cosine oracle.
+
+    The twins propose the same pairs from different blocks, whose cosine
+    reads of d(u, v) may differ in the last bit: a stale score there is no
+    bound, and trusting it changes the winner of a tie on these seeds.
+    """
+    rng = np.random.default_rng([7, seed])
+    n, dim = 48, int(rng.choice([8, 12, 16, 24]))
+    X = rng.normal(size=(n, dim))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    base = rng.choice(n, size=30, replace=False)
+    clusters = []
+    for j in range(int(rng.integers(2, 5))):
+        drop = rng.choice(30, size=int(rng.integers(0, 6)), replace=False)
+        extra = rng.choice(np.setdiff1d(np.arange(n), base), size=int(rng.integers(0, 8)),
+                           replace=False)
+        clusters.append(Cluster(id=j, members=tuple(np.union1d(np.delete(base, drop), extra)),
+                                budget=int(rng.choice([4, 6, 8]))))
+    inst = Instance(n=n, feature_kind="vector", features=X, clusters=clusters, metric="cosine")
+    inst._oracle = DistanceOracle("cosine", features=X, cache_limit=0)
+    assert not inst.oracle().block_invariant
+    return inst
+
+
+@pytest.mark.parametrize("build, seed", [(_shared_cells, s) for s in range(30)]
+                         + [(_cosine_twins, s) for s in (138, 433, 542)])
+def test_lazy_proposals_match_eager_rounds(build, seed):
+    inst = build(seed)
     policy = (OddPolicy.ALG1_ARBITRARY, OddPolicy.ROUNDUP_REMOVE)[seed % 2]
     for config in (SolverConfig(algorithm=Algorithm.GP, odd_policy=policy),
                    SolverConfig(algorithm=Algorithm.GPA, odd_policy=policy, alpha=1.0),
