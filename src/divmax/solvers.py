@@ -116,6 +116,11 @@ class _State:
     sums call builds them for every cluster from the current selection, and
     every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
+
+    empty_cells[j], built by the first has_pair call, counts cluster j's
+    cells with load zero. While only adds happen it only falls, and it falls
+    exactly when j's free members change, so _greedy_pairs reads it as j's
+    version.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
