@@ -65,6 +65,7 @@ class Instance:
     def __post_init__(self):
         self._oracle = None
         self._cells = None
+        self._members = None
         if self.feature_kind == "vector" and self.features is not None:
             self.features = np.asarray(self.features, dtype=float)
         elif self.feature_kind == "set" and self.features is not None:
@@ -97,6 +98,14 @@ class Instance:
                     cells[v] = index.setdefault(raw, len(index))
                 self._cells = cells
         return self._cells
+
+    def member_arrays(self) -> list:
+        """Each cluster's members as a read-only int array, built on first call."""
+        if self._members is None:
+            self._members = [np.asarray(c.members, dtype=int) for c in self.clusters]
+            for ids in self._members:
+                ids.flags.writeable = False
+        return self._members
 
 
 @dataclass
@@ -371,7 +380,7 @@ def available_elements(instance: Instance, partial, cluster_id: int) -> list:
     sets = _selected_sets(partial, instance.m)
     cells = instance.cell_of()
     load = np.bincount(cells[[v for S in sets for v in S]], minlength=instance.n)
-    ids = np.asarray(instance.clusters[cluster_id].members, dtype=int)
+    ids = instance.member_arrays()[cluster_id]
     return ids[load[cells[ids]] == 0].tolist()
 
 

@@ -84,7 +84,15 @@ class QualityFunction:
 
 
 def _entries(mat: sparse.csr_matrix, rows: np.ndarray) -> tuple:
-    """Batch position and column of every stored entry of the given CSR rows."""
+    """Batch position and column of every stored entry of the given CSR rows.
+
+    The columns may be a view of mat.indices; callers only read them.
+    """
+    if rows.size == 1:
+        # one row is a slice; the batch gather below costs a dozen numpy calls
+        r = int(rows[0])
+        cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
+        return np.zeros(cols.size, dtype=np.intp), cols
     lo = mat.indptr[rows]
     lens = mat.indptr[rows + 1] - lo
     pos = np.arange(rows.size).repeat(lens)
@@ -153,6 +161,25 @@ def marginal_pair(q: QualityFunction, selected: Iterable[int], u: int, v: int) -
     return value(q, ids | {u, v}) - value(q, ids)
 
 
+def prefix_marginals(q: QualityFunction, order) -> np.ndarray:
+    """Marginal of each element over the elements before it in order.
+
+    Entry p equals marginal(q, order[:p], order[p]); the ids must be distinct.
+    For coverage that is the number of order[p]'s items that no earlier
+    element covers.
+    """
+    order = np.asarray(order, dtype=int)
+    if q.kind == "zero":
+        return np.zeros(order.size)
+    if q.kind == "modular":
+        return np.asarray(q.weights, dtype=float)[order]
+    inc = q.cover_incidence()
+    pos, items = _entries(inc, order)
+    first = np.full(inc.shape[1], order.size)  # first position covering each item
+    np.minimum.at(first, items, pos)
+    return np.bincount(pos[first[items] == pos], minlength=order.size).astype(float)
+
+
 class QualityState:
     """Incremental quality evaluation for one solver run.
 
@@ -193,8 +220,9 @@ class QualityState:
             self._total += float(self.q.weights[v])
         elif self.q.kind == "coverage":
             items = self._items(v)
-            self._count[items] += 1
-            np.subtract.at(self._gain, _entries(self._hold, items[self._count[items] == 1])[1], 1)
+            count = self._count[items] + 1  # a row's items are distinct
+            self._count[items] = count
+            np.subtract.at(self._gain, _entries(self._hold, items[count == 1])[1], 1)
 
     def remove(self, v: int) -> None:
         if not self.in_sel[v]:
@@ -204,8 +232,9 @@ class QualityState:
             self._total -= float(self.q.weights[v])
         elif self.q.kind == "coverage":
             items = self._items(v)
-            self._count[items] -= 1
-            np.add.at(self._gain, _entries(self._hold, items[self._count[items] == 0])[1], 1)
+            count = self._count[items] - 1
+            self._count[items] = count
+            np.add.at(self._gain, _entries(self._hold, items[count == 0])[1], 1)
 
     def marginal(self, v: int) -> float:
         if self.in_sel[v] or self.q.kind == "zero":
@@ -235,7 +264,9 @@ class QualityState:
         b = self._pos[holders]
         self._pos[vs] = -1
         hit = b >= 0
-        flat = a[keep][k][hit] * vs.size + b[hit]
+        flat = b[hit]
+        if us.size > 1:  # one u's entries all sit at position 0
+            flat += a[keep][k][hit] * vs.size
         return np.bincount(flat, minlength=us.size * vs.size).reshape(us.size, vs.size)
 
     def swap_delta(self, outs: np.ndarray, inns: np.ndarray) -> np.ndarray:
@@ -262,7 +293,7 @@ class QualityState:
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding u together with each element of vs."""
         vs = np.asarray(vs, dtype=int)
-        if np.any(vs == u):
+        if (vs == u).any():
             raise ValueError("marginal_pair needs two distinct elements")
         mu = self.marginal(u)
         if self.q.kind != "coverage":

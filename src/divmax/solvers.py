@@ -117,10 +117,12 @@ class _State:
     every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
 
-    empty_cells[j], built by the first has_pair call, counts cluster j's
-    cells with load zero. While only adds happen it only falls, and it falls
-    exactly when j's free members change, so _greedy_pairs reads it as j's
-    version.
+    empty_cells()[j] counts cluster j's cells with load zero: j has a free
+    member while it is at least 1 and a pair across cells while it is at
+    least 2. The first call builds the counts, and every add, remove and swap
+    keeps them current from then on. While only adds happen a count only
+    falls, and it falls exactly when j's free members change, so _lazy_round
+    reads it as j's version.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
@@ -132,12 +134,12 @@ class _State:
         self.lam = float(instance.lam)
         self.budgets = instance.budgets()
         self.cells = instance.cell_of()
-        self.members = [np.asarray(c.members, dtype=int) for c in instance.clusters]
+        self.members = instance.member_arrays()
         self.member_cells = [self.cells[ids] for ids in self.members]
         self.member_of = np.zeros((self.m, self.n), dtype=bool)
         for j, ids in enumerate(self.members):
             self.member_of[j, ids] = True
-        self.empty_cells = None  # built by the first has_pair call
+        self._empty = None  # built by the first empty_cells call
         self.dsum = None  # built by the first sums call
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
@@ -156,16 +158,19 @@ class _State:
     def free_members(self, j: int) -> np.ndarray:
         return self.members[j][self.free_mask(j)]
 
-    def has_pair(self, j: int) -> bool:
-        """Whether cluster j's free members span two cells; adds only turn it false."""
-        if self.empty_cells is None:
-            # cell_in[j, c]: cluster j has a member in cell c; empty_cells[j]
-            # counts those cells whose load is zero, kept current from here on
+    def empty_cells(self) -> np.ndarray:
+        """Per cluster, how many of its cells have load zero."""
+        if self._empty is None:
+            # cell_in[j, c]: cluster j has a member in cell c
             self.cell_in = np.zeros((self.m, self.n), dtype=bool)
             for i, cells in enumerate(self.member_cells):
                 self.cell_in[i, cells] = True
-            self.empty_cells = (self.cell_in & (self.load == 0)).sum(axis=1)
-        return self.empty_cells[j] >= 2
+            self._empty = (self.cell_in & (self.load == 0)).sum(axis=1)
+        return self._empty
+
+    def has_pair(self, j: int) -> bool:
+        """Whether cluster j's free members span two cells; adds only turn it false."""
+        return self.empty_cells()[j] >= 2
 
     def sums(self, j: int) -> np.ndarray:
         """Distance sums from S_j to each member of cluster j, aligned with members[j]."""
@@ -181,8 +186,8 @@ class _State:
         self.sel[j].add(v)
         self.qstate.add(v)
         c = self.cells[v]
-        if self.empty_cells is not None and self.load[c] == 0:
-            self.empty_cells -= self.cell_in[:, c]
+        if self._empty is not None and self.load[c] == 0:
+            self._empty -= self.cell_in[:, c]
         self.load[c] += 1
 
     def _drop(self, j: int, v: int) -> None:
@@ -190,8 +195,8 @@ class _State:
         self.qstate.remove(v)
         c = self.cells[v]
         self.load[c] -= 1
-        if self.empty_cells is not None and self.load[c] == 0:
-            self.empty_cells += self.cell_in[:, c]
+        if self._empty is not None and self.load[c] == 0:
+            self._empty += self.cell_in[:, c]
 
     def _event(self, kind: str, j: int, elements: tuple, gain: float) -> None:
         self.events.append(TraceEvent(len(self.events), kind, j, elements, gain))
@@ -207,6 +212,8 @@ class _State:
         self._event("pair", j, (u, v), gain)
 
     def add_single(self, j: int, v: int, gain: float) -> None:
+        if self.load[self.cells[v]]:
+            raise RuntimeError(f"element {v} for cluster {j} is not free")
         self._add(j, v)
         if self.dsum is not None:
             self.dsum[j] += self._row(j, v)
@@ -294,8 +301,48 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int) -> tuple:
     return float(g[a, b]), j, int(ids[a]), int(ids[b])
 
 
+def _removal_measures(st: _State) -> list:
+    """(j, S, measures) for each over-full cluster j after the pair loop.
+
+    S is sorted S_j and measures[i] equals objective.removal_measure of S[i]
+    over the pair events, bit for bit:
+    - the quality part, each element's marginal over the elements added
+      before it, comes for all elements from one quality.prefix_marginals
+      pass;
+    - the distance part is one rows(S, S) block per cluster with the
+      diagonal dropped before each row's sum: a kept zero can move the last
+      bit of a pairwise sum. Where reads are not block_invariant (uncached
+      cosine), each element's row over its peers is read alone, as
+      removal_measure reads it.
+    """
+    # only pair events precede the odd phase, each adding u, then v
+    order = [v for e in st.events for v in e.elements]
+    marg = np.zeros(st.n)
+    marg[order] = qual.prefix_marginals(st.inst.quality, order)
+    out = []
+    for j in range(st.m):
+        if len(st.sel[j]) <= st.budgets[j]:
+            continue
+        S = np.asarray(sorted(st.sel[j]), dtype=int)
+        if st.oracle.block_invariant:
+            peers = ~np.eye(S.size, dtype=bool)
+            dsums = st.oracle.rows(S, S)[peers].reshape(S.size, -1).sum(axis=1)
+        else:
+            dsums = np.array([st.oracle.row(v, S[S != v]).sum() for v in S])
+        out.append((j, S, marg[S] + st.lam * dsums))
+    return out
+
+
 def _odd_phase(st: _State, policy: OddPolicy) -> None:
-    """Fix up odd budgets after the pair loop."""
+    """Fix up odd budgets after the pair loop.
+
+    ALG1 adds to each odd cluster below its budget the free member farthest
+    from its selection in distance sum. Round-up removal drops from each
+    over-full cluster the element of least objective.removal_measure, the
+    first minimum over sorted ids. Every measure reads the selection as the
+    pair loop left it, so _removal_measures computes all of them before any
+    removal.
+    """
     if policy == OddPolicy.ALG1_ARBITRARY:
         for j in range(st.m):
             if st.budgets[j] % 2 == 0 or len(st.sel[j]) >= st.budgets[j]:
@@ -311,17 +358,9 @@ def _odd_phase(st: _State, policy: OddPolicy) -> None:
             k = int(np.argmax(dsums))
             st.add_single(j, int(ids[k]), float(dsums[k]))
     else:
-        # only pair events precede this phase, each adding u, then v
-        snapshot = [(v, e.cluster) for e in st.events for v in e.elements]
-        for j in range(st.m):
-            if len(st.sel[j]) <= st.budgets[j]:
-                continue
-            victim = None
-            for v in sorted(st.sel[j]):
-                g = objective.removal_measure(st.inst, snapshot, v, lam=st.lam)
-                if victim is None or g < victim[0]:
-                    victim = (g, v)
-            st.remove(j, victim[1], victim[0])
+        for j, S, meas in _removal_measures(st):
+            k = int(np.argmin(meas))
+            st.remove(j, int(S[k]), float(meas[k]))
 
 
 def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
@@ -337,10 +376,10 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
 
     gp and gpa propose through _lazy_round, which keeps each cluster's last
     proposal and returns the same winner as proposing for every open cluster:
-    - Versions: the loop only adds, so empty_cells[j] only falls, and it
+    - Versions: the loop only adds, so empty_cells()[j] only falls, and it
       falls exactly when a cell of cluster j fills. That changes the free
       members of j, and every add to S_j fills a cell of j, so a change to
-      sums(j) moves it too. empty_cells[j] is therefore j's version.
+      sums(j) moves it too. empty_cells()[j] is therefore j's version.
     - Exact reuse: with zero or modular quality a proposal depends only on
       the free members and, for zero-quality gpa, on sums(j), so one whose
       version has not moved is reused as it is. Coverage marginals move with
@@ -376,9 +415,12 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
 
 def _lazy_round(propose_one, bound: bool):
     """A round proposer over propose_one(st, j, qmode, weight) that reuses
-    proposals by the rules in _greedy_pairs and returns the winner alone;
+    proposals by the rules in _greedy_pairs and returns the winner alone.
+
     bound says whether a stale proposal's gain bounds the cluster's current
-    one.
+    one; the caller decides, since only it knows what its proposals read.
+    The loop that calls it must only add, so that empty_cells() only falls.
+    gp, gpa and mc propose through it.
     """
     heap = []  # (-gain, j, seq) of every proposal made, newest per j valid
     last = {}  # j -> (seq, version when proposed, proposal)
@@ -389,7 +431,7 @@ def _lazy_round(propose_one, bound: bool):
         if st.inst.quality.kind == "coverage":
             now = [len(st.events)] * st.m
         else:
-            now = st.empty_cells.tolist()
+            now = st.empty_cells().tolist()
 
         def refresh(j):
             cand = propose_one(st, j, qmode, int(weights[j]))
@@ -397,7 +439,7 @@ def _lazy_round(propose_one, bound: bool):
             last[j] = (k, now[j], cand)
             heapq.heappush(heap, (-cand[0], j, k))
 
-        if not (last and bound and st.oracle.block_invariant):
+        if not (last and bound):
             # no bounds to trust: refresh every stale cluster before the top
             for j in open_:
                 if j not in last or last[j][1] != now[j]:
@@ -423,7 +465,9 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GP)
-    return _greedy_pairs(_State(instance, "gp"), cfg, _lazy_round(_best_pair, bound=True))
+    st = _State(instance, "gp")
+    # a stale score bounds the current one only where d(u, v) reads the same in every block
+    return _greedy_pairs(st, cfg, _lazy_round(_best_pair, bound=st.oracle.block_invariant))
 
 
 def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
@@ -464,24 +508,29 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
     """
     uncovered = set(open_)
     cands = []
+    # largest budget first, then lowest id: elig lists clusters in this order
+    ranked = np.array(sorted(open_, key=lambda j: (-st.budgets[j], j)))
 
-    def home(elig: list, ys: np.ndarray) -> np.ndarray:
+    def home(elig: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Per y, the eligible cluster holding it with the largest budget, then lowest id."""
-        order = np.array(sorted(elig, key=lambda j: (-st.budgets[j], j)))
-        return order[np.argmax(st.member_of[np.ix_(order, ys)], axis=0)]
+        return elig[np.argmax(st.member_of[elig[:, None], ys], axis=0)]
 
-    # nothing changes _State within a call, so each first element is read once
-    firsts = {}
+    # nothing changes _State within a call, so each open cluster's free
+    # members and first element are read once
+    free_ids, firsts = {}, {}
     for j in open_:
         free = st.free_mask(j)
-        ids = st.members[j][free]
+        free_ids[j] = ids = st.members[j][free]
         meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
         k = int(np.argmax(meas))
         firsts[j] = (float(meas[k]), j, int(ids[k]))
-    while uncovered:
-        x = _pick([firsts[j] for j in uncovered])[2]
-        elig = [j for j in open_ if st.member_of[j, x]]
-        pool = np.unique(np.concatenate([st.free_members(j) for j in elig]))
+    # the _pick order of the first elements, which stay fixed within the call
+    for first in sorted(open_, key=lambda j: (-firsts[j][0], j)):
+        if first not in uncovered:
+            continue
+        x = firsts[first][2]
+        elig = ranked[st.member_of[ranked, x]]
+        pool = np.unique(np.concatenate([free_ids[j] for j in elig.tolist()]))
         pool = _partners(st, x, pool)
         if not qmode:
             rows = st.oracle.row(x, pool)
@@ -496,7 +545,7 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
             k = int(np.argmax(score))
             gain, y, cluster = score[k], int(pool[k]), int(homes[k])
         cands.append((float(gain), cluster, x, y))
-        uncovered -= set(elig)
+        uncovered -= set(elig.tolist())
     return cands
 
 
@@ -550,27 +599,39 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     return st.finish()
 
 
+def _best_single(st: _State, j: int, qmode: bool, weight: int) -> tuple:
+    """mc's proposal for cluster j: its free member of largest quality
+    marginal, first of equals, as (gain, j, v); qmode and weight are unused."""
+    ids = st.free_members(j)
+    margs = st.qstate.marginal_vec(ids)
+    k = int(margs.argmax())
+    return float(margs[k]), j, int(ids[k])
+
+
 def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """Max-coverage style greedy: globally best quality marginal, one at a time.
+
+    A cluster is open while it is below its budget and has a free member.
+    Each round adds the _pick winner among the open clusters' best singles,
+    proposed through _lazy_round (Minoux's lazy greedy). The loop only adds,
+    so a cluster's free members only shrink and its best marginal never
+    rises: under zero or modular quality a proposal whose empty_cells()
+    version has not moved is reused as it is, and under coverage a stale
+    marginal bounds the current one. No distance is read.
 
     Returns (Solution, SolveTrace).
     """
     _norm_config(config, Algorithm.MC)
     st = _State(instance, "mc")
+    propose = _lazy_round(_best_single, bound=True)
+    open_ = range(st.m)
     while True:
-        cands = []
-        for j in range(st.m):
-            if len(st.sel[j]) >= st.budgets[j]:
-                continue
-            ids = st.free_members(j)
-            if ids.size == 0:
-                continue
-            margs = st.qstate.marginal_vec(ids)
-            k = margs.argmax()
-            cands.append((float(margs[k]), j, int(ids[k])))
-        if not cands:
+        # budgets and free members only get used up, so closed stays closed
+        open_ = [j for j in open_
+                 if len(st.sel[j]) < st.budgets[j] and st.empty_cells()[j] >= 1]
+        if not open_:
             break
-        g, j, v = _pick(cands)
+        g, j, v = propose(st, open_, False, st.budgets)[0]
         st.add_single(j, v, g)
     return st.finish()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divmax import QualityFunction, value, marginal, marginal_pair
-from divmax.quality import QualityState, incidence
+from divmax.quality import QualityState, _entries, incidence, prefix_marginals
 
 K1 = frozenset({"s1", "s2"})
 K2 = frozenset({"s2", "s3"})
@@ -100,6 +100,31 @@ def test_cover_incidence_built_on_first_state_and_shared():
     assert a._hold is b._hold is q.cover_holders()
     assert np.array_equal(q.cover_incidence().toarray(), incidence(q.covers).toarray())
     assert np.array_equal(q.cover_holders().toarray(), incidence(q.covers).toarray().T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_marginals_equal_marginal_over_each_prefix(seed):
+    rng = np.random.default_rng([31, seed])
+    n = int(rng.integers(5, 40))
+    covers = mixed_covers(rng, n, int(rng.integers(3, 2 * n)))
+    order = rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist()
+    for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(n)),
+              QualityFunction.coverage(covers)):
+        got = prefix_marginals(q, order)
+        assert got.dtype == float and got.shape == (len(order),)
+        assert got.tolist() == [marginal(q, order[:p], v) for p, v in enumerate(order)]
+
+
+def test_entries_reads_one_row_as_the_batch_gather_does():
+    mat = incidence([{1, 2, 5}, set(), {0, 5}, {3}])
+    for r in range(4):
+        pos, cols = _entries(mat, np.array([r]))
+        # the same row read within a batch, where the single-row slice is not taken
+        bpos, bcols = _entries(mat, np.array([r, 3 - r]))
+        first = bpos == 0
+        assert pos.dtype == bpos.dtype and cols.dtype == bcols.dtype
+        assert pos.tolist() == bpos[first].tolist() == [0] * cols.size
+        assert cols.tolist() == bcols[first].tolist() == sorted(mat[r].indices.tolist())
 
 
 def test_state_tracks_plain_functions():

@@ -10,9 +10,9 @@ from divmax import (Algorithm, Cluster, DistanceOracle, GenSpec, Instance, OddPo
                     OracleLimitError,
                     QualityFunction, Solution, SolverConfig, alpha_acceptable,
                     approximation_ratio, combined_objective, gen_fig1, gen_random,
-                    intra_dispersion, is_feasible, pair_gain_combined, replay_trace,
-                    solve, solve_exact, solve_gelms, solve_gp, solve_gpa, solve_lsi,
-                    solve_mc, solve_rn, solvers)
+                    intra_dispersion, is_feasible, pair_gain_combined, removal_measure,
+                    replay_trace, solve, solve_exact, solve_gelms, solve_gp, solve_gpa,
+                    solve_lsi, solve_mc, solve_rn, solvers)
 
 
 def points_instance(coords, clusters, **kw):
@@ -404,6 +404,162 @@ def test_untouched_proposals_are_reused(monkeypatch):
         _, trace = solve(inst, SolverConfig(algorithm=algorithm))
         rounds = sum(e.kind == "pair" for e in trace.events)
         assert rounds == 12 and calls[name] <= inst.m + rounds - 1, algorithm
+
+
+def _removal_loop(st, policy):
+    """Round-up removal by one removal_measure call per selected element."""
+    assert policy == OddPolicy.ROUNDUP_REMOVE
+    snapshot = [(v, e.cluster) for e in st.events for v in e.elements]
+    for j in range(st.m):
+        if len(st.sel[j]) <= st.budgets[j]:
+            continue
+        victim = None
+        for v in sorted(st.sel[j]):
+            g = removal_measure(st.inst, snapshot, v, lam=st.lam)
+            if victim is None or g < victim[0]:
+                victim = (g, v)
+        st.remove(j, victim[1], victim[0])
+
+
+def _odd_clusters(seed):
+    """Overlapping clusters with odd budgets, cluster 0's at least 9.
+
+    Zero, modular and coverage quality alternate with the seed, and so do
+    cached and uncached (cache_limit=0) oracles. Modular weights take three
+    values and lambda may be 0, so measures tie.
+    """
+    rng = np.random.default_rng([53, seed])
+    n, m = int(rng.integers(40, 81)), int(rng.integers(2, 5))
+    metric = ("euclidean", "cosine")[seed // 6 % 2]
+    # below 8 dims a cosine row read alone and one read in a block agreed in every sample
+    dim = int(rng.integers(2, 7) if metric == "euclidean" else rng.choice([8, 12, 16, 24]))
+    X = rng.normal(size=(n, dim))
+    if metric == "cosine":
+        X /= np.linalg.norm(X, axis=1)[:, None]
+    budgets = [int(rng.choice([9, 11, 13]))] + rng.choice([1, 3, 5, 9], size=m - 1).tolist()
+    clusters = [Cluster(id=j, members=tuple(rng.choice(n, size=int(rng.integers(24, n)),
+                                                        replace=False).tolist()), budget=b)
+                for j, b in enumerate(budgets)]
+    kind = ("zero", "modular", "coverage")[seed % 3]
+    q = {"zero": QualityFunction.zero(),
+         "modular": QualityFunction.modular(rng.integers(0, 3, size=n) / 2),
+         "coverage": QualityFunction.coverage(
+             [rng.choice(n, size=4, replace=False).tolist() for _ in range(n)])}[kind]
+    inst = Instance(n=n, feature_kind="vector", features=X, clusters=clusters, metric=metric,
+                    quality=q, lam=float(rng.choice([1.0, 0.0, 0.37])),
+                    partition=rng.integers(0, 3 * n // 4, size=n).tolist())
+    if seed % 2:
+        inst._oracle = DistanceOracle(metric, features=X, cache_limit=0)
+    return inst
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_pass_removal_matches_removal_measure(monkeypatch, seed):
+    inst = _odd_clusters(seed)
+    roundup = OddPolicy.ROUNDUP_REMOVE
+    configs = [SolverConfig(algorithm=Algorithm.GP, odd_policy=roundup),
+               SolverConfig(algorithm=Algorithm.GPA, odd_policy=roundup),
+               SolverConfig(algorithm=Algorithm.GPA, odd_policy=roundup, enhanced=True)]
+    real_phase, sizes = solvers._odd_phase, []
+
+    def checked_phase(st, policy):
+        # every element's measure, not only the victim's, bit for bit
+        snapshot = [(v, e.cluster) for e in st.events for v in e.elements]
+        for j, S, meas in solvers._removal_measures(st):
+            assert S.tolist() == sorted(st.sel[j])
+            assert meas.tolist() == [removal_measure(st.inst, snapshot, v, lam=st.lam)
+                                     for v in S.tolist()]
+            sizes.append(S.size)
+        real_phase(st, policy)
+
+    monkeypatch.setattr(solvers, "_odd_phase", checked_phase)
+    got = [solve(inst, config) for config in configs]
+    monkeypatch.setattr(solvers, "_odd_phase", _removal_loop)
+    for config, (sol, trace) in zip(configs, got):
+        want_sol, want_trace = solve(inst, config)
+        assert sol.selected == want_sol.selected
+        assert trace.events == want_trace.events  # victims and gains bit for bit
+    assert max(sizes) >= 9  # measures that sum 8 or more distances
+
+
+def _eager_mc(inst):
+    """mc proposing afresh for every cluster every round."""
+    st = solvers._State(inst, "mc")
+    while True:
+        cands = []
+        for j in range(st.m):
+            if len(st.sel[j]) >= st.budgets[j]:
+                continue
+            ids = st.free_members(j)
+            if ids.size == 0:
+                continue
+            margs = st.qstate.marginal_vec(ids)
+            k = margs.argmax()
+            cands.append((float(margs[k]), j, int(ids[k])))
+        if not cands:
+            break
+        g, j, v = solvers._pick(cands)
+        st.add_single(j, v, g)
+    return st.finish()
+
+
+@pytest.mark.parametrize("build, seed", [(_shared_cells, s) for s in range(30)]
+                         + [(_cosine_twins, s) for s in (138, 433)])
+def test_lazy_mc_matches_eager_rounds(build, seed):
+    inst = build(seed)
+    sol, trace = solve(inst, SolverConfig(algorithm=Algorithm.MC))
+    want_sol, want_trace = _eager_mc(inst)
+    assert sol.selected == want_sol.selected
+    assert trace.events == want_trace.events
+
+
+@pytest.mark.parametrize("kind", ["zero", "modular", "coverage"])
+def test_mc_reuses_proposals(monkeypatch, kind):
+    # four disjoint clusters with disjoint items, singleton cells: an add
+    # changes only its own cluster's free members and marginals
+    rng = np.random.default_rng(47)
+    q = {"zero": QualityFunction.zero(),
+         "modular": QualityFunction.modular(rng.random(60)),
+         "coverage": QualityFunction.coverage(
+             [{(v // 15, int(x)) for x in rng.choice(12, size=3)} for v in range(60)])}[kind]
+    inst = points_instance(rng.random((60, 2)),
+                           [(tuple(range(15 * j, 15 * j + 15)), b)
+                            for j, b in enumerate([6, 8, 4, 7])], quality=q)
+    calls = [0]
+
+    def counted(*args, _real=solvers._best_single):
+        calls[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(solvers, "_best_single", counted)
+    _, trace = solve(inst, SolverConfig(algorithm=Algorithm.MC))
+    rounds = len(trace.events)
+    assert rounds == 25
+    # reuse under zero and modular quality; under coverage every proposal is
+    # stale each round, and only the top bound and the winner are refreshed
+    limit = inst.m + rounds - 1 if kind != "coverage" else inst.m + 2 * (rounds - 1)
+    assert calls[0] <= limit  # proposing afresh every round takes 63 to 82 calls here
+
+
+def test_adding_a_taken_element_raises():
+    # a proposal reused past the add that took its element fails instead of looping
+    inst = points_instance([0, 1, 2, 3], [((0, 1, 2, 3), 4)], partition=[0, 0, 1, 2])
+    st = solvers._State(inst, "x")
+    st.add_pair(0, 0, 2, 0.0)
+    with pytest.raises(RuntimeError, match="not free"):
+        st.add_single(0, 1, 0.0)  # 1 shares cell 0 with 0
+    with pytest.raises(RuntimeError, match="not free"):
+        st.add_pair(0, 3, 2, 0.0)
+    assert st.sel == [{0, 2}]
+
+
+def test_state_reads_cached_member_arrays():
+    inst = _overlapping(60, 5, [4, 6])
+    a, b = solvers._State(inst, "a"), solvers._State(inst, "b")
+    assert all(x is y for x, y in zip(a.members, b.members))
+    for ids, c in zip(a.members, inst.clusters):
+        assert ids.tolist() == list(c.members) and not ids.flags.writeable
+    assert len(dataclasses.replace(inst, clusters=inst.clusters[:1]).member_arrays()) == 1
 
 
 def test_alpha_acceptable_threshold():

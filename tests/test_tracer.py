@@ -36,6 +36,6 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     names = {tracer.names[i] for i in tracer.name}
     assert {"solvers.solve", "geometry.pairwise", "quality.state_marginal_vec",
-            "objective.removal_measure"} <= names
+            "quality.state_remove"} <= names
     assert _attrs(tr.TARGETS) == before
     assert solvers.solve(inst, SolverConfig(algorithm="gp"))[0] == traced
