@@ -140,7 +140,10 @@ class DistanceOracle:
     def row(self, u: int, ids) -> np.ndarray:
         """Distances from u to each element of ids, as a float array."""
         self._check(u)
-        ids = self._check_all(ids)
+        return self._row(u, self._check_all(ids))
+
+    def _row(self, u: int, ids: np.ndarray) -> np.ndarray:
+        """row(u, ids) for a checked u and a checked int64 ids array."""
         if self._cache is not None:
             return self._cache[u, ids]  # a new array; the cache's diagonal is zero
         if self.metric == "euclidean":
@@ -163,7 +166,7 @@ class DistanceOracle:
         us = self._check_all(us)
         ids = self._check_all(ids)
         if self._cache is not None:
-            return self._cache[np.ix_(us, ids)]
+            return self._cache[us[:, None], ids]  # np.ix_ without its dtype checks
         if self.metric == "jaccard":
             out = self._jaccard_block(us, ids)
         elif self.metric == "matrix":
@@ -175,8 +178,8 @@ class DistanceOracle:
             flip = self.metric == "euclidean" and ids.size < us.size
             a, b = (ids, us) if flip else (us, ids)
             out = np.empty((a.size, b.size))
-            for i, u in enumerate(a):
-                out[i] = self.row(int(u), b)
+            for i, u in enumerate(a.tolist()):  # every id was checked above
+                out[i] = self._row(u, b)
             return np.ascontiguousarray(out.T) if flip else out
         out[us[:, None] == ids[None, :]] = 0.0
         return out

@@ -190,6 +190,12 @@ class QualityState:
     cost in the holders of the items they cover or uncover, not in n; pair
     queries count overlaps through it (_shared). remove() exists for the
     round-up removal step and local search.
+
+    Joint pair marginals have one kernel, marginal_pairs(us, vs): one
+    _shared call for any number of us against any number of vs.
+    marginal_pair is its one-row form, and marginal_block its square form
+    with the marginals read through marginal_vec. Coverage marginals are
+    integers, so every form is exact.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -254,8 +260,8 @@ class QualityState:
     def _shared(self, us: np.ndarray, vs: np.ndarray, level: int) -> np.ndarray:
         """[a, b]: items of us[a] that exactly level selected elements cover and vs[b] covers.
 
-        Each batch's ids must be distinct (callers pass free members, a
-        cluster's members or selected ids): vs's positions share one buffer.
+        vs's ids must be distinct, since their positions share one buffer;
+        us may repeat an id.
         """
         a, items = _entries(self._inc, us)
         keep = self._count[items] == level
@@ -290,20 +296,29 @@ class QualityState:
         return (self._gain[inns][None, :] + self._shared(outs, inns, 1)
                 - lost[:, None]).astype(float)
 
+    def marginal_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Joint marginal gains of adding us[a] together with vs[b], at [a, b].
+
+        That is m_a + m_b minus, for coverage, the uncovered items both
+        cover. us may repeat an id and vs may not; an entry whose two ids
+        are equal carries no meaning.
+        """
+        if self.q.kind != "coverage":
+            return self.marginal_vec(us)[:, None] + self.marginal_vec(vs)
+        g = self._gain
+        return (g[us][:, None] + g[vs] - self._shared(us, vs, 0)).astype(float)
+
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding u together with each element of vs."""
         vs = np.asarray(vs, dtype=int)
         if (vs == u).any():
             raise ValueError("marginal_pair needs two distinct elements")
-        mu = self.marginal(u)
-        if self.q.kind != "coverage":
-            return mu + self.marginal_vec(vs)
-        return mu + (self._gain[vs] - self._shared(np.array([u]), vs, 0)[0])
+        return self.marginal_pairs(np.array([u]), vs)[0]
 
     def marginal_block(self, ids: np.ndarray) -> np.ndarray:
-        """Joint marginal gains of every pair of ids: [a, b] = marginal_pair(ids[a], [ids[b]]).
+        """Joint marginal gains of every pair of ids: marginal_pairs(ids, ids).
 
-        That is m_a + m_b minus the uncovered items both cover; the diagonal
+        The marginals are read once, through marginal_vec; the diagonal
         carries no meaning.
         """
         m = self.marginal_vec(ids)

@@ -24,6 +24,7 @@ the same scale. objective.pair_gain_combined returns the same score.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -136,9 +137,6 @@ class _State:
         self.cells = instance.cell_of()
         self.members = instance.member_arrays()
         self.member_cells = [self.cells[ids] for ids in self.members]
-        self.member_of = np.zeros((self.m, self.n), dtype=bool)
-        for j, ids in enumerate(self.members):
-            self.member_of[j, ids] = True
         self._empty = None  # built by the first empty_cells call
         self.dsum = None  # built by the first sums call
         self.load = np.zeros(self.n, dtype=int)
@@ -150,6 +148,22 @@ class _State:
         for j, S in enumerate(start or ()):
             for v in S:
                 self._add(j, int(v))
+
+    @functools.cached_property
+    def member_of(self) -> np.ndarray:
+        """member_of[j, v]: v is a member of cluster j (m x n); built on first use."""
+        member_of = np.zeros((self.m, self.n), dtype=bool)
+        for j, ids in enumerate(self.members):
+            member_of[j, ids] = True
+        return member_of
+
+    @functools.cached_property
+    def flat_members(self) -> tuple:
+        """(ids, cluster, cells): every cluster's members concatenated in
+        cluster order, with each entry's cluster and cell; built on first use."""
+        ids = np.concatenate(self.members)
+        sizes = [a.size for a in self.members]
+        return ids, np.repeat(np.arange(self.m), sizes), self.cells[ids]
 
     def free_mask(self, j: int) -> np.ndarray:
         """Which members of cluster j are free, aligned with members[j]."""
@@ -374,8 +388,9 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
     element per odd cluster, or removal of the element with the smallest
     contribution measure.
 
-    gp and gpa propose through _lazy_round, which keeps each cluster's last
-    proposal and returns the same winner as proposing for every open cluster:
+    gp, and gpa under zero or modular quality, propose through _lazy_round,
+    which keeps each cluster's last proposal and returns the same winner as
+    proposing for every open cluster:
     - Versions: the loop only adds, so empty_cells()[j] only falls, and it
       falls exactly when a cell of cluster j fills. That changes the free
       members of j, and every add to S_j fills a cell of j, so a change to
@@ -393,9 +408,10 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
       needs d(u, v) to read the same in every block, so gp refreshes every
       stale cluster first, as gpa does, when the oracle is not
       block_invariant (uncached cosine).
-    Coverage-quality gpa thus refreshes every open cluster every round: its
-    anchor can change with no bound. The covering scheme proposes for whole
-    rounds.
+    Under coverage quality gpa's anchor can change with no bound, so no
+    proposal of its would outlive its round: coverage gpa proposes for every
+    open cluster at once through _gpa_batch instead. The covering scheme
+    (_enhanced_candidates) proposes for whole rounds as well.
     """
     qmode = st.inst.quality.kind != "zero"
     policy = _default_policy(st.inst, config)
@@ -420,7 +436,7 @@ def _lazy_round(propose_one, bound: bool):
     bound says whether a stale proposal's gain bounds the cluster's current
     one; the caller decides, since only it knows what its proposals read.
     The loop that calls it must only add, so that empty_cells() only falls.
-    gp, gpa and mc propose through it.
+    gp, mc and gpa under zero or modular quality propose through it.
     """
     heap = []  # (-gain, j, seq) of every proposal made, newest per j valid
     last = {}  # j -> (seq, version when proposed, proposal)
@@ -476,6 +492,8 @@ def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
 
 
 def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -> tuple:
+    """gpa's proposal for cluster j, as (gain, j, x, y); coverage quality
+    proposes through _gpa_batch, which makes the same proposals."""
     free = st.free_mask(j)
     ids = st.members[j][free]
     if not qmode:
@@ -496,6 +514,73 @@ def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -
     return float(score[k]), j, x, int(pool[k])
 
 
+def _first_max(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of vals in each segment.
+
+    Segments are contiguous runs of vals: seg[i] is entry i's segment and
+    starts[s] segment s's first index. No segment is empty, no value NaN.
+    """
+    top = np.maximum.reduceat(vals, starts)
+    hits = np.flatnonzero(vals == top[seg])
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for an int array, by one sort: np.unique's hash pass
+    costs several times the sort on the few hundred ids of a round."""
+    a = np.sort(a)
+    head = np.ones(a.size, dtype=bool)
+    head[1:] = a[1:] != a[:-1]
+    return a[head]
+
+
+def _runs(seg: np.ndarray, k: int) -> tuple:
+    """(sizes, starts) of the k contiguous runs that the sorted labels seg form."""
+    sizes = np.bincount(seg, minlength=k)
+    return sizes, sizes.cumsum() - sizes
+
+
+def _rows_by_run(st: _State, xs: list, ids: np.ndarray, sizes: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """One row(xs[s], run s of ids) per run, concatenated: the reads a
+    per-x loop makes, so every oracle gives the same bits."""
+    return np.concatenate([st.oracle.row(x, ids[lo:lo + k])
+                           for x, lo, k in zip(xs, starts.tolist(), sizes.tolist())])
+
+
+def _gpa_batch(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
+    """gpa's proposals under coverage quality, for every open cluster at once.
+
+    Each open cluster's proposal is _gpa_candidate's: the anchor x is its
+    free member of largest marginal, the partner the free member outside
+    x's cell of largest pair_score, first of equals in member order. The
+    open clusters' free members form one segment each, so a round costs one
+    marginal_vec, one marginal_pairs(anchors, union of the pools) and one
+    row per anchor over its pool, the read _gpa_candidate makes.
+    """
+    k = len(open_)
+    ids, cluster, cells = st.flat_members
+    is_open = np.zeros(st.m, dtype=bool)
+    is_open[open_] = True
+    keep = is_open[cluster] & (st.load[cells] == 0)
+    ids, cells = ids[keep], cells[keep]
+    # open_ ascends, so its clusters' segments follow in its order
+    seg = np.repeat(np.arange(k), np.bincount(cluster[keep], minlength=st.m)[open_])
+    starts = _runs(seg, k)[1]
+    a = _first_max(st.qstate.marginal_vec(ids), seg, starts)
+    xs = ids[a]
+    part = cells != cells[a][seg]
+    pool, seg = ids[part], seg[part]
+    sizes, starts = _runs(seg, k)
+    union = _distinct(pool)
+    marg = st.qstate.marginal_pairs(xs, union)[seg, np.searchsorted(union, pool)]
+    xs = xs.tolist()
+    score = objective.pair_score(marg, st.lam, weights[open_][seg],
+                                 _rows_by_run(st, xs, pool, sizes, starts))
+    b = _first_max(score, seg, starts)
+    return list(zip(score[b].tolist(), open_, xs, pool[b].tolist()))
+
+
 def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
     """Candidate pairs from the covering scheme.
 
@@ -505,16 +590,18 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
     containing it, assign the pair to the eligible cluster of largest budget
     and mark every open cluster containing the first element covered. One
     candidate per round; the caller picks the best.
+
+    Which first elements start a round depends on member_of alone, so the
+    walk over them comes first. Their pools, homes and pair scores are then
+    built for all of them at once: one sort of (round, partner, rank) keys
+    gives each pool in id order with every partner's home, and under a
+    quality function one marginal_pairs call serves every round. Distances
+    are one row per first element over its pool, as a per-round loop reads.
     """
     uncovered = set(open_)
-    cands = []
-    # largest budget first, then lowest id: elig lists clusters in this order
-    ranked = np.array(sorted(open_, key=lambda j: (-st.budgets[j], j)))
-
-    def home(elig: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Per y, the eligible cluster holding it with the largest budget, then lowest id."""
-        return elig[np.argmax(st.member_of[elig[:, None], ys], axis=0)]
-
+    # largest budget first, then lowest id: a round's eligible clusters in this order
+    ranked = sorted(open_, key=lambda j: (-st.budgets[j], j))
+    rank_ids = np.array(ranked)
     # nothing changes _State within a call, so each open cluster's free
     # members and first element are read once
     free_ids, firsts = {}, {}
@@ -523,30 +610,43 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
         free_ids[j] = ids = st.members[j][free]
         meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
         k = int(np.argmax(meas))
-        firsts[j] = (float(meas[k]), j, int(ids[k]))
+        firsts[j] = (float(meas[k]), int(ids[k]))
     # the _pick order of the first elements, which stay fixed within the call
-    for first in sorted(open_, key=lambda j: (-firsts[j][0], j)):
+    order = sorted(open_, key=lambda j: (-firsts[j][0], j))
+    # inside[i][r]: the first element of order[i] is a member of ranked[r]
+    inside = st.member_of[rank_ids[:, None], [firsts[j][1] for j in order]].T.tolist()
+    xs, parts = [], []  # parts: (round, rank of an eligible cluster, its free ids)
+    for first, hits in zip(order, inside):
         if first not in uncovered:
             continue
-        x = firsts[first][2]
-        elig = ranked[st.member_of[ranked, x]]
-        pool = np.unique(np.concatenate([free_ids[j] for j in elig.tolist()]))
-        pool = _partners(st, x, pool)
-        if not qmode:
-            rows = st.oracle.row(x, pool)
-            k = int(np.argmax(rows))
-            y = int(pool[k])
-            cluster = int(home(elig, pool[k:k + 1])[0])
-            gain = (weights[cluster] - 1) * float(rows[k])
-        else:
-            homes = home(elig, pool)
-            score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
-                                         weights[homes], st.oracle.row(x, pool))
-            k = int(np.argmax(score))
-            gain, y, cluster = score[k], int(pool[k]), int(homes[k])
-        cands.append((float(gain), cluster, x, y))
-        uncovered -= set(elig.tolist())
-    return cands
+        ranks = [i for i, hit in enumerate(hits) if hit]
+        parts += [(len(xs), i, free_ids[ranked[i]]) for i in ranks]
+        xs.append(firsts[first][1])
+        uncovered.difference_update(ranked[i] for i in ranks)
+    k, nr = len(xs), len(ranked)
+    # key (round * n + partner) * nr + rank: distinct, and sorted they list
+    # each round's partners in id order and a partner's eligible clusters in
+    # rank order, so a partner's first key names its home
+    key = np.concatenate([p[2] for p in parts]) * nr + np.repeat(
+        [(t * st.n) * nr + i for t, i, _ in parts], [p[2].size for p in parts])
+    pair, rank = np.divmod(np.sort(key), nr)
+    head = np.ones(pair.size, dtype=bool)
+    head[1:] = pair[1:] != pair[:-1]
+    rnd, pool = np.divmod(pair[head], st.n)
+    homes = rank_ids[rank[head]]
+    part = st.cells[pool] != st.cells[xs][rnd]
+    rnd, pool, homes = rnd[part], pool[part], homes[part]
+    sizes, starts = _runs(rnd, k)
+    dist = _rows_by_run(st, xs, pool, sizes, starts)
+    if not qmode:
+        b = _first_max(dist, rnd, starts)
+        return [(float((weights[c] - 1) * float(d)), int(c), x, int(y))
+                for d, c, x, y in zip(dist[b], homes[b], xs, pool[b])]
+    union = _distinct(pool)
+    marg = st.qstate.marginal_pairs(np.array(xs), union)[rnd, np.searchsorted(union, pool)]
+    score = objective.pair_score(marg, st.lam, weights[homes], dist)
+    b = _first_max(score, rnd, starts)
+    return list(zip(score[b].tolist(), homes[b].tolist(), xs, pool[b].tolist()))
 
 
 def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
@@ -560,7 +660,10 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     combined pair score; both are exact argmaxes, which satisfy the alpha
     relaxation for every alpha <= 1. The best proposal wins the round. The
     enhanced flag switches proposals to the covering scheme (alpha ignored).
-    Rounds, the reuse of proposals and odd budgets are as in _greedy_pairs.
+    Rounds, the reuse of proposals and odd budgets are as in _greedy_pairs:
+    under zero or modular quality _lazy_round reuses _gpa_candidate's
+    proposals, and under coverage quality _gpa_batch proposes for every open
+    cluster at once.
 
     Returns (Solution, SolveTrace).
     """
@@ -568,6 +671,8 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     st = _State(instance, "gpa")
     if cfg.enhanced:
         return _greedy_pairs(st, cfg, _enhanced_candidates)
+    if st.inst.quality.kind == "coverage":
+        return _greedy_pairs(st, cfg, _gpa_batch)
 
     def propose_one(st, j, qmode, weight):
         return _gpa_candidate(st, j, cfg.alpha, qmode, weight)

@@ -26,11 +26,21 @@ Run it once per tree and compare the outputs with diff; a changed solution
 or a changed last bit of a gain shows as a differing line. Where a change
 moves last bits on purpose, tests/golden/compare.py OLD NEW tells gains that
 moved within 1e-12 relative from changed solutions or moves.
+
+With --digest the batch prints only the SHA-256 of that output:
+
+    PYTHONPATH=src python tests/golden/record.py --batch [COUNT] --digest
+
+tests/golden/batch.sha256 holds the digest of the default batch, and
+tests/test_golden.py recomputes it. It ties the batch to one numpy/BLAS
+build, as the uncached cases are tied: a deliberate last-bit change records
+the new digest in the change that regenerates golden files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -301,12 +311,30 @@ def solve_case(name: str) -> str:
     return render(payload)
 
 
+def batch_records(count: int = 150):
+    """The --batch output, one rendered case at a time."""
+    configs = [c for c in CONFIGS if c != "exact"]
+    for name, inst in batch_cases(count):
+        yield render({"case": name, "runs": [run_record(inst, c) for c in configs]})
+
+
+def batch_digest(count: int = 150) -> str:
+    """SHA-256 of the --batch output (ASCII JSON), as hex."""
+    h = hashlib.sha256()
+    for text in batch_records(count):
+        h.update(text.encode("ascii"))
+    return h.hexdigest()
+
+
 def main(argv: list) -> int:
     if argv[:1] == ["--batch"]:
-        configs = [c for c in CONFIGS if c != "exact"]
-        for name, inst in batch_cases(int(argv[1]) if len(argv) > 1 else 150):
-            sys.stdout.write(render({"case": name,
-                                     "runs": [run_record(inst, c) for c in configs]}))
+        rest = [a for a in argv[1:] if a != "--digest"]
+        count = int(rest[0]) if rest else 150
+        if "--digest" in argv:
+            print(batch_digest(count))
+        else:
+            for text in batch_records(count):
+                sys.stdout.write(text)
         return 0
     small = _small_cases()
     names = argv or list(small) + sorted(UNCACHED)

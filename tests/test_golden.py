@@ -62,3 +62,12 @@ def test_compare_allows_last_bit_gains_only(tmp_path):
     event[3][0] += 1  # one element of one move
     new.write_text(record.render(payload))
     assert compare.main([str(old), str(new)]) == 1
+
+
+def test_batch_digest_matches_recorded():
+    """The 2 280-run differential batch of record.py --batch reproduces the
+    SHA-256 in golden/batch.sha256: every solution, move and gain bit of 152
+    seeded instances under every config but exact."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "batch.sha256")) as fh:
+        want = fh.read().strip()
+    assert record.batch_digest() == want

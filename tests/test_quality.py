@@ -217,6 +217,30 @@ def test_state_queries_follow_interleaved_adds_and_removes():
                         assert D[a, i] == value(q, rest + [inn]) - value(q, sel)
 
 
+def test_marginal_pairs_take_repeated_anchors():
+    # us repeats ids, as anchors of overlapping clusters do; vs are distinct
+    rng = np.random.default_rng(31)
+    n = 14
+    covers = mixed_covers(rng, n, 9)
+    for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(n)),
+              QualityFunction.coverage(covers)):
+        st = QualityState(q, n)
+        sel = [2, 7]
+        for v in sel:
+            st.add(v)
+        us = np.array([5, 0, 5, 7, 13, 0])
+        vs = rng.permutation(n)[:9]
+        got = st.marginal_pairs(us, vs)
+        assert got.shape == (us.size, vs.size) and got.dtype == float
+        for a, u in enumerate(us.tolist()):
+            for b, v in enumerate(vs.tolist()):
+                if u != v:
+                    # the plain function sums modular weights in another order
+                    want = marginal_pair(q, sel, u, v)
+                    assert got[a, b] == (pytest.approx(want) if q.kind == "modular" else want)
+                    assert got[a, b] == st.marginal_pair(u, [v])[0]
+
+
 def test_state_marginal_vec():
     q = QualityFunction.coverage([K1, K2, frozenset({"s9"})])
     st = QualityState(q, 3)

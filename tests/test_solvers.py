@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from divmax import (Algorithm, Cluster, DistanceOracle, GenSpec, Instance, OddPolicy,
-                    OracleLimitError,
+                    OracleLimitError, objective,
                     QualityFunction, Solution, SolverConfig, alpha_acceptable,
                     approximation_ratio, combined_objective, gen_fig1, gen_random,
                     intra_dispersion, is_feasible, pair_gain_combined, removal_measure,
@@ -254,9 +254,9 @@ def test_state_sums_and_open_check_stay_exact(n):
 def test_row_calls_only_where_read(monkeypatch):
     inst = _overlapping(200, 23, [5, 6, 7, 4], partition=(np.arange(200) % 90).tolist(),
                         quality=QualityFunction.coverage([[v % 70, v % 31] for v in range(200)]))
-    calls = {"row": 0, "distance": 0, "candidate": 0}
+    calls = {"row": 0, "distance": 0, "proposals": 0}
     real_row, real_distance = DistanceOracle.row, DistanceOracle.distance
-    real_candidate = solvers._gpa_candidate
+    real_batch = solvers._gpa_batch
 
     def row(self, u, ids):
         calls["row"] += 1
@@ -266,16 +266,18 @@ def test_row_calls_only_where_read(monkeypatch):
         calls["distance"] += 1
         return real_distance(self, u, v)
 
-    def candidate(*args):
-        calls["candidate"] += 1
-        return real_candidate(*args)
+    def batch(*args):
+        cands = real_batch(*args)
+        calls["proposals"] += len(cands)
+        return cands
 
     monkeypatch.setattr(DistanceOracle, "row", row)
     monkeypatch.setattr(DistanceOracle, "distance", distance)
-    monkeypatch.setattr(solvers, "_gpa_candidate", candidate)
+    monkeypatch.setattr(solvers, "_gpa_batch", batch)
     alg1 = OddPolicy.ALG1_ARBITRARY
     solve(inst, SolverConfig(algorithm=Algorithm.GPA, odd_policy=alg1))
-    assert calls["candidate"] > 0 and calls["row"] == calls["candidate"]
+    # coverage gpa proposes for whole rounds: one row per proposal, its anchor's
+    assert calls["proposals"] > 0 and calls["row"] == calls["proposals"]
     for config in (SolverConfig(algorithm=Algorithm.GP, odd_policy=alg1),
                    SolverConfig(algorithm=Algorithm.MC), SolverConfig(algorithm=Algorithm.RN)):
         calls["row"] = 0
@@ -480,6 +482,109 @@ def test_one_pass_removal_matches_removal_measure(monkeypatch, seed):
         assert sol.selected == want_sol.selected
         assert trace.events == want_trace.events  # victims and gains bit for bit
     assert max(sizes) >= 9  # measures that sum 8 or more distances
+
+
+def _gpa_round(st, open_, qmode, weights):
+    """Coverage gpa's proposals one cluster at a time: the reference for _gpa_batch."""
+    cands = []
+    for j in open_:
+        ids = st.free_members(j)
+        x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
+        pool = ids[st.cells[ids] != st.cells[x]]
+        score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
+                                     int(weights[j]), st.oracle.row(x, pool))
+        k = int(np.argmax(score))
+        cands.append((float(score[k]), j, x, int(pool[k])))
+    return cands
+
+
+def _covering_loop(st, open_, qmode, weights):
+    """The covering scheme with one pool, home lookup and score per round: the
+    reference for _enhanced_candidates."""
+    uncovered = set(open_)
+    cands = []
+    ranked = np.array(sorted(open_, key=lambda j: (-st.budgets[j], j)))
+
+    def home(elig, ys):
+        return elig[np.argmax(st.member_of[elig[:, None], ys], axis=0)]
+
+    free_ids, firsts = {}, {}
+    for j in open_:
+        free = st.free_mask(j)
+        free_ids[j] = ids = st.members[j][free]
+        meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
+        k = int(np.argmax(meas))
+        firsts[j] = (float(meas[k]), j, int(ids[k]))
+    for first in sorted(open_, key=lambda j: (-firsts[j][0], j)):
+        if first not in uncovered:
+            continue
+        x = firsts[first][2]
+        elig = ranked[st.member_of[ranked, x]]
+        pool = np.unique(np.concatenate([free_ids[j] for j in elig.tolist()]))
+        pool = pool[st.cells[pool] != st.cells[x]]
+        if not qmode:
+            rows = st.oracle.row(x, pool)
+            k = int(np.argmax(rows))
+            y = int(pool[k])
+            cluster = int(home(elig, pool[k:k + 1])[0])
+            gain = (weights[cluster] - 1) * float(rows[k])
+        else:
+            homes = home(elig, pool)
+            score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
+                                         weights[homes], st.oracle.row(x, pool))
+            k = int(np.argmax(score))
+            gain, y, cluster = score[k], int(pool[k]), int(homes[k])
+        cands.append((float(gain), cluster, x, y))
+        uncovered -= set(elig.tolist())
+    return cands
+
+
+def _cosine_covers(seed):
+    """_cosine_twins with coverage quality and lambda 1: on these seeds a
+    distance read in a block over every pool, not in a row over one pool,
+    changes a proposal's last bit."""
+    inst = _cosine_twins(seed)
+    rng = np.random.default_rng([59, seed])
+    covers = [rng.choice(2 * inst.n, size=3, replace=False).tolist() for _ in range(inst.n)]
+    oracle = inst.oracle()
+    inst = dataclasses.replace(inst, quality=QualityFunction.coverage(covers), lam=1.0)
+    inst._oracle = oracle
+    return inst
+
+
+def test_batched_round_matches_per_cluster_proposals(monkeypatch):
+    """Every round of coverage gpa and of the covering scheme proposes, bit
+    for bit, what the per-cluster loops above propose on the same state."""
+    seen = {"rounds": 0, "shared anchor": 0, "tie": 0, "uncached cosine": 0}
+
+    def checked(batch, reference):
+        def propose(st, open_, qmode, weights):
+            got = batch(st, open_, qmode, weights)
+            assert got == reference(st, open_, qmode, weights)
+            if qmode and batch is real_covering:
+                # the gpa batch reads modular states as well, and runs on every state here
+                assert real_gpa(st, open_, qmode, weights) == _gpa_round(st, open_, qmode, weights)
+            anchors = [c[2] for c in got]
+            seen["rounds"] += 1
+            seen["shared anchor"] += batch is real_gpa and len(set(anchors)) < len(anchors)
+            seen["tie"] += len({c[0] for c in got}) < len(got)
+            seen["uncached cosine"] += not st.oracle.block_invariant
+            return got
+        return propose
+
+    real_gpa, real_covering = solvers._gpa_batch, solvers._enhanced_candidates
+    monkeypatch.setattr(solvers, "_gpa_batch", checked(real_gpa, _gpa_round))
+    monkeypatch.setattr(solvers, "_enhanced_candidates", checked(real_covering, _covering_loop))
+    cases = ([(_shared_cells, s) for s in range(30)] + [(_odd_clusters, s) for s in range(30)]
+             + [(_cosine_covers, s) for s in (10, 17, 47, 88)]
+             + [(_cosine_twins, s) for s in (34, 46)])
+    for build, seed in cases:
+        inst = build(seed)
+        policy = (OddPolicy.ALG1_ARBITRARY, OddPolicy.ROUNDUP_REMOVE)[seed % 2]
+        for config in (SolverConfig(algorithm=Algorithm.GPA, odd_policy=policy),
+                       SolverConfig(algorithm=Algorithm.GPA, odd_policy=policy, enhanced=True)):
+            solve(inst, config)
+    assert all(seen.values()), seen
 
 
 def _eager_mc(inst):
