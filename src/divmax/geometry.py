@@ -37,21 +37,16 @@ class DistanceOracle:
     are array slices; the oracle is immutable and safe to share across
     threads after construction.
 
-    Above cache_limit, row is the one kernel of each metric and every other
-    read is built from it. rows(us, ids) is its block form: a new
-    C-contiguous (len(us), len(ids)) array whose row i equals row(us[i], ids)
-    bit for bit, zero where ids == us[i] included, so its row sums equal the
-    sums of the single rows too. pairwise(ids) is rows(ids, ids) and
-    distance(u, v) is row(u, [v])[0]. Within one oracle every read therefore
-    equals stacked rows bit for bit. Cached and uncached reads may still
-    differ in the last bit, and so may d(u, v) read from a cosine row of u
-    and from one of v. distance, row, rows and pairwise all raise IndexError
-    for an id outside [0, n).
-
-    block_invariant says whether d(u, v) reads the same bits in every block
-    that holds v. It does for cached reads and every uncached kernel but
-    cosine, whose BLAS matrix-vector product may round an entry apart with
-    the other rows of the block.
+    Within one oracle, d(u, v) has one value in every read: in any block
+    and in either direction. Above cache_limit, row is the one kernel of
+    each metric, and each of its entries depends only on its own two
+    elements. rows(us, ids) is its block form: a new C-contiguous
+    (len(us), len(ids)) array whose row i equals row(us[i], ids) bit for
+    bit, zero where ids == us[i] included, so its row sums equal the sums of
+    the single rows too. pairwise(ids) is rows(ids, ids) and distance(u, v)
+    is row(u, [v])[0]. Cached and uncached reads may still differ in the
+    last bit. distance, row, rows and pairwise all raise IndexError for an
+    id outside [0, n).
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -90,7 +85,6 @@ class DistanceOracle:
 
         if self.n <= cache_limit:
             self._cache = self._build_cache()
-        self.block_invariant = self._cache is not None or metric != "cosine"
 
     def _build_cache(self) -> np.ndarray:
         if self.metric == "euclidean":
@@ -153,7 +147,9 @@ class DistanceOracle:
             d *= d
             return np.sqrt(np.add.reduce(d, axis=1))
         if self.metric == "cosine":
-            out = np.clip(1.0 - self._X[ids] @ self._X[u], 0.0, None)
+            # einsum without optimize sums each entry's products on its own,
+            # where a BLAS product rounds an entry with the rest of its block
+            out = np.clip(1.0 - np.einsum("ij,j->i", self._X[ids], self._X[u]), 0.0, None)
         elif self.metric == "jaccard":
             out = self._jaccard_block([u], ids)[0]
         else:
@@ -172,10 +168,9 @@ class DistanceOracle:
         elif self.metric == "matrix":
             out = np.array(self._matrix[np.ix_(us, ids)], dtype=float)
         else:
-            # One row per element of the shorter side. A euclidean row of v
-            # transposes bit for bit, since v - u is u - v negated exactly; a
-            # cosine one does not (BLAS rounds a product's tail rows apart).
-            flip = self.metric == "euclidean" and ids.size < us.size
+            # one row per element of the shorter side; d(u, v) reads the
+            # same in a row of u and in one of v
+            flip = ids.size < us.size
             a, b = (ids, us) if flip else (us, ids)
             out = np.empty((a.size, b.size))
             for i, u in enumerate(a.tolist()):  # every id was checked above

@@ -31,6 +31,34 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _ints(values, where: str) -> list:
+    """values, if it is a list of JSON ints (bools excluded); else SchemaError."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{where} must be a list of ints, got {values!r}")
+    if not set(map(type, values)) <= {int}:  # one pass in C; the loop below names the culprit
+        k, v = next((k, v) for k, v in enumerate(values) if type(v) is not int)
+        raise SchemaError(f"{where}[{k}] must be an int, got {v!r}")
+    return values
+
+
+def _float_array(values, where: str) -> np.ndarray:
+    """values as a float array, or SchemaError if ragged or not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where} must be a rectangular array of numbers") from None
+
+
+def _item_sets(values) -> list:
+    """values, if it is a list of lists of JSON scalars; else SchemaError."""
+    if not isinstance(values, list):
+        raise SchemaError(f"features must be a list of item lists, got {values!r}")
+    for i, items in enumerate(values):
+        if not isinstance(items, list) or {list, dict} & set(map(type, items)):
+            raise SchemaError(f"features[{i}] must be a list of strings or numbers, got {items!r}")
+    return values
+
+
 def instance_to_dict(instance: Instance) -> dict:
     if instance.features is None:
         features = None
@@ -65,29 +93,53 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
+    """The instance a JSON payload describes.
+
+    Raises SchemaError, naming the field, where a value has the wrong JSON
+    type: n, member ids, budgets and partition labels must be ints (not
+    bools), lambda a number, vector features and distance_matrix
+    rectangular arrays of numbers, and set features lists of strings or
+    numbers. validate_instance checks the rest.
+    """
     n = _require(d, "n", "")
+    if type(n) is not int:
+        raise SchemaError(f"n must be an int, got {n!r}")
     metric = _require(d, "metric", "")
     feature_kind = _require(d, "feature_kind", "")
     features = d.get("features")
     if features is not None and feature_kind == "vector":
-        features = np.asarray(features, dtype=float)
+        features = _float_array(features, "features")
+    elif features is not None and feature_kind == "set":
+        features = _item_sets(features)
     clusters_raw = _require(d, "clusters", "")
+    if not isinstance(clusters_raw, list):
+        raise SchemaError(f"clusters must be a list, got {clusters_raw!r}")
     clusters = []
     for j, c in enumerate(clusters_raw):
-        members = _require(c, "members", f"clusters[{j}].")
+        if not isinstance(c, dict):
+            raise SchemaError(f"clusters[{j}] must be an object, got {c!r}")
+        members = _ints(_require(c, "members", f"clusters[{j}]."), f"clusters[{j}].members")
         budget = _require(c, "budget", f"clusters[{j}].")
-        if not isinstance(budget, int):
+        if type(budget) is not int:
             raise SchemaError(f"clusters[{j}].budget must be an int, got {budget!r}")
         clusters.append(Cluster(j, tuple(members), budget))
+    partition = d.get("partition")
+    if partition is not None:
+        _ints(partition, "partition")
+    lam = d.get("lambda", 1.0)
+    if type(lam) not in (int, float):
+        raise SchemaError(f"lambda must be a number, got {lam!r}")
     matrix = d.get("distance_matrix")
     if matrix is not None:
-        matrix = np.asarray(matrix, dtype=float)
-    quality = QualityFunction.from_dict(d.get("quality", {"kind": "zero"}))
+        matrix = _float_array(matrix, "distance_matrix")
+    try:
+        quality = QualityFunction.from_dict(d.get("quality", {"kind": "zero"}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"quality must be a zero, modular or coverage object: {exc!r}") from None
     return Instance(
-        n=int(n), feature_kind=feature_kind, features=features,
+        n=n, feature_kind=feature_kind, features=features,
         clusters=clusters, metric=metric, distance_matrix=matrix,
-        partition=d.get("partition"), lam=float(d.get("lambda", 1.0)),
-        quality=quality,
+        partition=partition, lam=float(lam), quality=quality,
     )
 
 

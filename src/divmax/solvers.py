@@ -325,9 +325,7 @@ def _removal_measures(st: _State) -> list:
       pass;
     - the distance part is one rows(S, S) block per cluster with the
       diagonal dropped before each row's sum: a kept zero can move the last
-      bit of a pairwise sum. Where reads are not block_invariant (uncached
-      cosine), each element's row over its peers is read alone, as
-      removal_measure reads it.
+      bit of a pairwise sum.
     """
     # only pair events precede the odd phase, each adding u, then v
     order = [v for e in st.events for v in e.elements]
@@ -338,11 +336,8 @@ def _removal_measures(st: _State) -> list:
         if len(st.sel[j]) <= st.budgets[j]:
             continue
         S = np.asarray(sorted(st.sel[j]), dtype=int)
-        if st.oracle.block_invariant:
-            peers = ~np.eye(S.size, dtype=bool)
-            dsums = st.oracle.rows(S, S)[peers].reshape(S.size, -1).sum(axis=1)
-        else:
-            dsums = np.array([st.oracle.row(v, S[S != v]).sum() for v in S])
+        peers = ~np.eye(S.size, dtype=bool)
+        dsums = st.oracle.rows(S, S)[peers].reshape(S.size, -1).sum(axis=1)
         out.append((j, S, marg[S] + st.lam * dsums))
     return out
 
@@ -404,10 +399,7 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
       never rises and a stale score bounds the current one. Proposals wait
       in a heap keyed (-gain, j); a stale top is refreshed and pushed back
       until the top is fresh. Every other cluster then scores below it, or
-      ties it with a larger j, so the top is the _pick winner. The bound
-      needs d(u, v) to read the same in every block, so gp refreshes every
-      stale cluster first, as gpa does, when the oracle is not
-      block_invariant (uncached cosine).
+      ties it with a larger j, so the top is the _pick winner.
     Under coverage quality gpa's anchor can change with no bound, so no
     proposal of its would outlive its round: coverage gpa proposes for every
     open cluster at once through _gpa_batch instead. The covering scheme
@@ -481,9 +473,7 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GP)
-    st = _State(instance, "gp")
-    # a stale score bounds the current one only where d(u, v) reads the same in every block
-    return _greedy_pairs(st, cfg, _lazy_round(_best_pair, bound=st.oracle.block_invariant))
+    return _greedy_pairs(_State(instance, "gp"), cfg, _lazy_round(_best_pair, bound=True))
 
 
 def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:

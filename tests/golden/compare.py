@@ -6,6 +6,7 @@ OLD and NEW are both case files (`<name>.json`) or both outputs of
 `record.py --batch`. Runs are paired by (case, config). For each pair that
 differs it prints whether the solution, the start or the moves (step, kind,
 cluster, elements) changed, and the largest relative difference of a gain.
+The last line reads `K of N runs differ: within tolerance` (or `DIFFERENT`).
 
 Exit status 1 when a run is missing from one side, a solution, start or
 move differs, or a gain differs by more than GAIN_RTOL relative; else 0.
@@ -48,18 +49,20 @@ def gain_rdiff(old: dict, new: dict) -> float:
     return worst
 
 
-def compare(old_runs: dict, new_runs: dict, out=sys.stdout) -> bool:
-    """Print every differing run; True when all of them are within tolerance."""
-    ok = True
+def compare(old_runs: dict, new_runs: dict, out=sys.stdout) -> tuple:
+    """Print every differing run; return (how many differ, whether all of
+    them are within tolerance)."""
+    ok, differ = True, 0
     for key in sorted(old_runs.keys() | new_runs.keys()):
         case, config = key
         if key not in old_runs or key not in new_runs:
             print(f"{case} {config}: only in {'new' if key in new_runs else 'old'}", file=out)
-            ok = False
+            ok, differ = False, differ + 1
             continue
         old, new = old_runs[key], new_runs[key]
         if old == new:
             continue
+        differ += 1
         changed = [part for part, same in (("solution", old["solution"] == new["solution"]),
                                            ("start", old["init"] == new["init"]),
                                            ("moves", _moves(old) == _moves(new))) if not same]
@@ -67,7 +70,7 @@ def compare(old_runs: dict, new_runs: dict, out=sys.stdout) -> bool:
         print(f"{case} {config}: changed {', '.join(changed) or 'gains only'}; "
               f"largest relative gain difference {rdiff:.3g}", file=out)
         ok = ok and not changed and rdiff <= GAIN_RTOL
-    return ok
+    return differ, ok
 
 
 def main(argv: list) -> int:
@@ -75,8 +78,8 @@ def main(argv: list) -> int:
         print("usage: compare.py OLD NEW", file=sys.stderr)
         return 2
     old_runs, new_runs = load_runs(argv[0]), load_runs(argv[1])
-    ok = compare(old_runs, new_runs)
-    print(f"{len(old_runs.keys() | new_runs.keys())} runs compared: "
+    differ, ok = compare(old_runs, new_runs)
+    print(f"{differ} of {len(old_runs.keys() | new_runs.keys())} runs differ: "
           f"{'within tolerance' if ok else 'DIFFERENT'}")
     return 0 if ok else 1
 

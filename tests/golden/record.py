@@ -161,10 +161,9 @@ def _small_cases() -> dict:
 # kernel, whose last bits may differ from the cache's; the first few
 # clusters keep the pair scans small. The dim-10 cases pin that kernel: a
 # change to it, or a read that stops going through it, changes recorded
-# gains there. The cosine case has odd budgets that leave |S_j| mod 4 != 0
-# for the ALG1 odd phase: there d(u, v) computed as a row of u and as a row
-# of v may differ in the last bit (BLAS rounds the tail rows of a
-# matrix-vector product apart).
+# gains there. The cosine case has odd budgets, so its ALG1 odd phase reads
+# d(u, v) through rows of both shapes, transposed where the free members
+# outnumber the selection.
 UNCACHED = {
     "uncached-coverage-cells": {
         "genspec": {"family": "random", "n": 4200, "m": 140, "budgets": [4, 5, 4, 3],

@@ -49,6 +49,36 @@ def test_validate_rejects_broken_json(tmp_path):
     assert main(["validate", "--instance", str(path)]) == 2
 
 
+MALFORMED = [
+    ("clusters[0].members[1]", lambda d: d["clusters"][0]["members"].__setitem__(1, 1.7)),
+    ("clusters[0].members[2]", lambda d: d["clusters"][0]["members"].__setitem__(2, "3")),
+    ("clusters[1].budget", lambda d: d["clusters"][1].__setitem__("budget", True)),
+    ("lambda", lambda d: d.__setitem__("lambda", "abc")),
+    ("features", lambda d: d["features"][2].append(0.5)),
+    ("clusters[0].members", lambda d: d["clusters"][0].__setitem__("members", 5)),
+    ("partition[0]", lambda d: d.__setitem__("partition", [[v] for v in range(d["n"])])),
+    ("partition[4]", lambda d: d.__setitem__("partition", [0] * 4 + [False] * (d["n"] - 4))),
+    ("distance_matrix", lambda d: d.update(metric="matrix", distance_matrix=[[0.0], [1.0, 0.0]])),
+    ("n", lambda d: d.__setitem__("n", 30.0)),
+    ("clusters[1]", lambda d: d["clusters"].__setitem__(1, 7)),
+    ("quality", lambda d: d.__setitem__("quality", {"kind": "bogus"})),
+    ("features[1]", lambda d: d.update(feature_kind="set", metric="jaccard",
+                                       features=[["a"], [["b"]]] + [["c"]] * (d["n"] - 2))),
+]
+
+
+@pytest.mark.parametrize("field, edit", MALFORMED, ids=[field for field, _ in MALFORMED])
+def test_malformed_fields_are_schema_errors(tmp_path, capsys, field, edit):
+    path = gen_instance(tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    for args in (["validate"], ["solve", "--algorithm", "gp"]):
+        capsys.readouterr()
+        assert main([args[0], "--instance", str(path), *args[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {field} must be")
+
+
 def test_solve_gpa_flags(tmp_path):
     inst = gen_instance(tmp_path)
     out = tmp_path / "sol.json"

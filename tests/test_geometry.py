@@ -99,6 +99,7 @@ def test_rows_equal_stacked_rows():
     rng = np.random.default_rng(37)
     for oracle in _every_mode(72, 41):
         pool = rng.choice(oracle.n, size=25, replace=False)  # draws overlap
+        alone = {(u, v): oracle.row(u, [v])[0] for u in pool.tolist() for v in pool.tolist()}
         for ku in range(21):
             for ki in {0, 1, ku, 20 - ku, int(rng.integers(21))}:
                 us = rng.choice(pool, size=ku, replace=False)
@@ -108,12 +109,15 @@ def test_rows_equal_stacked_rows():
                 assert got.shape == (ku, ki) and got.dtype == float
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want), (oracle.metric, us, ids)
+                # one value per distance: read in either direction, or alone
+                assert np.array_equal(got, oracle.rows(ids, us).T), (oracle.metric, us, ids)
+                lone = np.array([[alone[u, v] for v in ids.tolist()] for u in us.tolist()])
+                assert np.array_equal(got, lone.reshape(ku, ki)), (oracle.metric, us, ids)
         # every other read is stacked rows too, cached and on demand alike
         for ids in (pool, rng.choice(pool, size=25)):
             assert np.array_equal(oracle.pairwise(ids), oracle.rows(ids, ids)), oracle.metric
         got = [oracle.distance(int(u), int(v)) for u in pool for v in pool]
-        want = [oracle.row(int(u), [int(v)])[0] for u in pool for v in pool]
-        assert got == want, oracle.metric
+        assert got == list(alone.values()), oracle.metric
         for us, ids in (([0, oracle.n], [1]), ([0], [1, oracle.n]), ([-1], [0]), ([0], [-1])):
             with pytest.raises(IndexError):
                 oracle.rows(us, ids)

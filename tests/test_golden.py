@@ -49,9 +49,10 @@ def test_corpus_resolves_byte_identical():
             raise AssertionError(f"golden case {name!r} differs:\n{diff}")
 
 
-def test_compare_allows_last_bit_gains_only(tmp_path):
+def test_compare_allows_last_bit_gains_only(tmp_path, capsys):
     with open(record.expected_path("odd-zero")) as fh:
         payload = json.load(fh)
+    runs = len(payload["runs"])
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(record.render(payload))
     event = payload["runs"][0]["events"][0]
@@ -59,9 +60,13 @@ def test_compare_allows_last_bit_gains_only(tmp_path):
     new.write_text(record.render(payload))
     assert new.read_text() != old.read_text()
     assert compare.main([str(old), str(new)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"1 of {runs} runs differ: within tolerance"
     event[3][0] += 1  # one element of one move
     new.write_text(record.render(payload))
     assert compare.main([str(old), str(new)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"1 of {runs} runs differ: DIFFERENT"
 
 
 def test_batch_digest_matches_recorded():

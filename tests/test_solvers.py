@@ -354,9 +354,10 @@ def _shared_cells(seed):
 def _cosine_twins(seed):
     """Near-twin clusters read through an uncached cosine oracle.
 
-    The twins propose the same pairs from different blocks, whose cosine
-    reads of d(u, v) may differ in the last bit: a stale score there is no
-    bound, and trusting it changes the winner of a tie on these seeds.
+    The twins propose the same pairs from different blocks, so their
+    scores tie exactly only where d(u, v) reads the same in every block;
+    on these seeds a kernel that rounds an entry with its block changed the
+    winner of a tie.
     """
     rng = np.random.default_rng([7, seed])
     n, dim = 48, int(rng.choice([8, 12, 16, 24]))
@@ -372,7 +373,6 @@ def _cosine_twins(seed):
                                 budget=int(rng.choice([4, 6, 8]))))
     inst = Instance(n=n, feature_kind="vector", features=X, clusters=clusters, metric="cosine")
     inst._oracle = DistanceOracle("cosine", features=X, cache_limit=0)
-    assert not inst.oracle().block_invariant
     return inst
 
 
@@ -433,7 +433,8 @@ def _odd_clusters(seed):
     rng = np.random.default_rng([53, seed])
     n, m = int(rng.integers(40, 81)), int(rng.integers(2, 5))
     metric = ("euclidean", "cosine")[seed // 6 % 2]
-    # below 8 dims a cosine row read alone and one read in a block agreed in every sample
+    # cosine at 8 dims and up: there a kernel that rounds an entry with its
+    # block read d(u, v) differently alone and in a block
     dim = int(rng.integers(2, 7) if metric == "euclidean" else rng.choice([8, 12, 16, 24]))
     X = rng.normal(size=(n, dim))
     if metric == "cosine":
@@ -541,8 +542,8 @@ def _covering_loop(st, open_, qmode, weights):
 
 def _cosine_covers(seed):
     """_cosine_twins with coverage quality and lambda 1: on these seeds a
-    distance read in a block over every pool, not in a row over one pool,
-    changes a proposal's last bit."""
+    kernel that rounds an entry with its block changed a proposal's last
+    bit, read in a block over every pool and not in a row over one pool."""
     inst = _cosine_twins(seed)
     rng = np.random.default_rng([59, seed])
     covers = [rng.choice(2 * inst.n, size=3, replace=False).tolist() for _ in range(inst.n)]
@@ -568,7 +569,7 @@ def test_batched_round_matches_per_cluster_proposals(monkeypatch):
             seen["rounds"] += 1
             seen["shared anchor"] += batch is real_gpa and len(set(anchors)) < len(anchors)
             seen["tie"] += len({c[0] for c in got}) < len(got)
-            seen["uncached cosine"] += not st.oracle.block_invariant
+            seen["uncached cosine"] += st.oracle.metric == "cosine" and st.oracle._cache is None
             return got
         return propose
 
