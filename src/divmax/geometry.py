@@ -17,6 +17,30 @@ CACHE_LIMIT = 4096
 
 COSINE_NORM_TOL = 1e-6
 
+# The Jaccard cache counts intersections over the HOT_ITEMS most-held items
+# with a dense 0/1 BLAS product and over the rest with a sparse one. On 2000
+# sets of 10-40 items drawn with weight 1/(k + 20) from 4000 (3924 distinct),
+# one BLAS thread, the oracle took 0.12, 0.073, 0.069, 0.090 and 0.095 s
+# (median of 9) with 0, 64, 100, 200 and 300 hot items.
+HOT_ITEMS = 100
+
+# Rows per step of the Jaccard cache build; its temporaries are a few
+# (256, n) blocks instead of several (n, n) ones.
+CHUNK_ROWS = 256
+
+
+def _jaccard_from_counts(inter: np.ndarray, size_a, size_b) -> np.ndarray:
+    """Jaccard distances, written over the intersection counts inter.
+
+    inter[i, j] counts the items that row set i (size_a[i] items) and column
+    set j (size_b[j] items) share. Two empty sets (union 0) are at distance 0.
+    """
+    union = size_a[:, None] + size_b[None, :] - inter
+    nonempty = union > 0
+    np.divide(inter, union, out=inter, where=nonempty)
+    np.subtract(1.0, inter, out=inter, where=nonempty)  # an empty pair keeps its count, 0
+    return inter
+
 
 class DistanceOracle:
     """Uniform distance lookups for one instance's elements.
@@ -92,7 +116,7 @@ class DistanceOracle:
         elif self.metric == "cosine":
             D = np.clip(1.0 - self._X @ self._X.T, 0.0, None)
         elif self.metric == "jaccard":
-            D = self._jaccard_block(slice(None), slice(None))
+            D = self._jaccard_cache()
         else:
             if isinstance(self._matrix, np.ndarray):
                 D = np.asarray(self._matrix, dtype=float)
@@ -107,8 +131,29 @@ class DistanceOracle:
     def _jaccard_block(self, a, b) -> np.ndarray:
         """Jaccard distances from each id of a (rows) to each id of b (columns)."""
         inter = (self._inc[a] @ self._inc[b].T).toarray()
-        union = self._sizes[a][:, None] + self._sizes[b][None, :] - inter
-        return 1.0 - np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+        return _jaccard_from_counts(inter, self._sizes[a], self._sizes[b])
+
+    def _jaccard_cache(self) -> np.ndarray:
+        """_jaccard_block over all ids, bit for bit, in one preallocated array.
+
+        Each chunk of rows adds the hot items' dense product to the rest's
+        sparse product; the counts are integers, exact in float64 in any
+        order of summation.
+        """
+        inc, sizes = self._inc, self._sizes
+        held = np.bincount(inc.indices, minlength=inc.shape[1])
+        order = np.argsort(-held, kind="stable")
+        hot = inc[:, order[:HOT_ITEMS]].toarray()
+        cold = inc[:, order[HOT_ITEMS:]]
+        cold_t = cold.T.tocsr()
+        D = np.empty((self.n, self.n))
+        for r in range(0, self.n, CHUNK_ROWS):
+            rows = slice(r, r + CHUNK_ROWS)
+            block = D[rows]
+            np.matmul(hot[rows], hot.T, out=block)
+            block += (cold[rows] @ cold_t).toarray()
+            _jaccard_from_counts(block, sizes[rows], sizes)
+        return D
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:

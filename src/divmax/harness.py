@@ -3,6 +3,14 @@
 JSON files use a canonical form (sorted keys, two-space indent, trailing
 newline) so that save(load(path)) reproduces the bytes exactly. CSV reports
 keep floats at 17 significant digits so they round-trip.
+
+Files are read with orjson, which parses the long float lists of vector
+features and distance matrices to the same floats as the stdlib json, in
+about 0.6 of its time (0.22 against 0.38 s for a 1640^2 matrix, 29 MB).
+They are written with the stdlib json, because the canonical bytes hold its
+float spelling (1e-06 where orjson writes 1e-6). Writing refuses NaN and
+Infinity: they are not JSON, orjson does not read them, and every file
+written here must read back.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import instgen, objective, solvers
 from .model import Cluster, Instance, Solution
@@ -42,11 +51,18 @@ def _ints(values, where: str) -> list:
 
 
 def _float_array(values, where: str) -> np.ndarray:
-    """values as a float array, or SchemaError if ragged or not numeric."""
+    """values as a float array, or SchemaError if ragged or not all numbers.
+
+    Strings, nulls and all-bool arrays are rejected by the dtype numpy
+    infers; a bool among numbers still converts to 0.0 or 1.0.
+    """
     try:
-        return np.asarray(values, dtype=float)
+        array = np.array(values)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where} must be a rectangular array of numbers") from None
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise SchemaError(f"{where} must be a rectangular array of numbers")
+    return array.astype(float, copy=False)
 
 
 def _item_sets(values) -> list:
@@ -144,7 +160,7 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def _canonical_dump(payload: dict, path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -154,16 +170,22 @@ def save_instance(path: str, instance: Instance) -> None:
     _canonical_dump(instance_to_dict(instance), path)
 
 
-def load_instance(path: str) -> Instance:
-    """Read an instance, raising SchemaError on malformed payloads."""
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+def _read_json(path: str) -> dict:
+    """The top-level object of a JSON file; SchemaError if it is not one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        d = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise SchemaError("top-level payload must be an object")
-    return instance_from_dict(d)
+    return d
+
+
+def load_instance(path: str) -> Instance:
+    """Read an instance, raising SchemaError on malformed payloads."""
+    return instance_from_dict(_read_json(path))
 
 
 def save_solution(path: str, solution: Solution,
@@ -182,12 +204,7 @@ def save_solution(path: str, solution: Solution,
 
 
 def load_solution(path: str) -> Solution:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-    selected = _require(d, "selected", "")
+    selected = _require(_read_json(path), "selected", "")
     return Solution.from_sets([list(S) for S in selected])
 
 

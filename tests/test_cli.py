@@ -49,6 +49,13 @@ def test_validate_rejects_broken_json(tmp_path):
     assert main(["validate", "--instance", str(path)]) == 2
 
 
+def null_matrix_entry(d):
+    """A uniform distance matrix for d's elements with one entry null."""
+    matrix = [[float(i != j) for j in range(d["n"])] for i in range(d["n"])]
+    matrix[0][1] = None
+    d.update(metric="matrix", distance_matrix=matrix)
+
+
 MALFORMED = [
     ("clusters[0].members[1]", lambda d: d["clusters"][0]["members"].__setitem__(1, 1.7)),
     ("clusters[0].members[2]", lambda d: d["clusters"][0]["members"].__setitem__(2, "3")),
@@ -64,10 +71,22 @@ MALFORMED = [
     ("quality", lambda d: d.__setitem__("quality", {"kind": "bogus"})),
     ("features[1]", lambda d: d.update(feature_kind="set", metric="jaccard",
                                        features=[["a"], [["b"]]] + [["c"]] * (d["n"] - 2))),
+    ("features", lambda d: d["features"][0].__setitem__(0, "0.25")),
+    ("distance_matrix", null_matrix_entry),
 ]
 
 
-@pytest.mark.parametrize("field, edit", MALFORMED, ids=[field for field, _ in MALFORMED])
+def case_ids(cases) -> list:
+    """Each case's field; a field's second case on gets a numbered id."""
+    seen: dict = {}
+    ids = []
+    for field, _ in cases:
+        seen[field] = seen.get(field, 0) + 1
+        ids.append(field if seen[field] == 1 else f"{field}-{seen[field]}")
+    return ids
+
+
+@pytest.mark.parametrize("field, edit", MALFORMED, ids=case_ids(MALFORMED))
 def test_malformed_fields_are_schema_errors(tmp_path, capsys, field, edit):
     path = gen_instance(tmp_path)
     payload = json.loads(path.read_text())
@@ -77,6 +96,17 @@ def test_malformed_fields_are_schema_errors(tmp_path, capsys, field, edit):
         capsys.readouterr()
         assert main([args[0], "--instance", str(path), *args[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"schema error: {field} must be")
+
+
+def test_non_finite_numbers_are_not_json(tmp_path, capsys):
+    path = gen_instance(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["features"][0][0] = float("nan")
+    path.write_text(json.dumps(payload))  # the stdlib writes NaN unless told not to
+    for args in (["validate"], ["solve", "--algorithm", "gp"]):
+        capsys.readouterr()
+        assert main([args[0], "--instance", str(path), *args[1:]]) == 2
+        assert capsys.readouterr().err.startswith("schema error: not valid JSON")
 
 
 def test_solve_gpa_flags(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divmax import DistanceOracle, set_distance_sum, exact_diameter, approx_diameter
+from divmax.geometry import CHUNK_ROWS, HOT_ITEMS
 from divmax.instgen import TightDistances
 
 
@@ -75,6 +76,40 @@ def test_cached_and_on_demand_agree():
             want = len(set(sets[u]) & set(sets[v])) / max(len(set(sets[u]) | set(sets[v])), 1)
             assert cached.distance(u, v) == lazy.distance(u, v) == (
                 1.0 - want if sets[u] or sets[v] else 0.0)
+
+
+def _set_families(seed: int) -> dict:
+    """Seeded item-set families that reach each branch of the Jaccard cache build."""
+    rng = np.random.default_rng(seed)
+    n = 2 * CHUNK_ROWS + 37  # three row chunks, the last one short
+    zipf = 1.0 / (np.arange(5 * HOT_ITEMS) + 10.0)
+    zipf /= zipf.sum()
+
+    def draw(vocab: int, low: int, high: int, replace=False, p=None) -> list:
+        return [rng.choice(vocab, size=int(k), replace=replace, p=p).tolist()
+                for k in rng.integers(low, high + 1, size=n)]
+
+    every_hot = draw(HOT_ITEMS, 1, 12)
+    every_hot[0] = list(range(HOT_ITEMS))  # exactly HOT_ITEMS distinct items
+    return {
+        "empty sets": draw(zipf.size, 0, 6, p=zipf),
+        "repeated items": draw(zipf.size, 1, 30, replace=True, p=zipf),
+        "fewer items than the cut": draw(HOT_ITEMS // 3, 0, 8),
+        "every item hot": every_hot,
+        "strings and ints": [[f"s{x}" if x % 3 else x for x in s]
+                             for s in draw(zipf.size, 0, 25, p=zipf)],
+    }
+
+
+def test_jaccard_cache_equals_uncached_rows():
+    families = _set_families(59)
+    assert not all(map(len, families["empty sets"]))
+    for name, sets in families.items():
+        cached = DistanceOracle("jaccard", features=sets)
+        lazy = DistanceOracle("jaccard", features=sets, cache_limit=0)
+        ids = np.arange(len(sets))
+        got, want = cached.rows(ids, ids), lazy.rows(ids, ids)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 def _every_mode(n: int, seed: int) -> list:

@@ -1,8 +1,11 @@
 """Persistence, experiments, benchmarks."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from divmax import (Algorithm, Cluster, ExperimentReport, ExperimentSpec, GenSpec,
@@ -91,6 +94,47 @@ def test_structural_matrix_not_serializable(tmp_path):
     assert inst.n > 4096
     with pytest.raises(SchemaError):
         save_instance(str(tmp_path / "t.json"), inst)
+
+
+def test_non_finite_feature_is_not_written(tmp_path):
+    inst = gen_random(GenSpec(family="random", n=10, m=2, overlap=2, seed=4))
+    for bad in (np.nan, np.inf):
+        inst.features[3, 1] = bad
+        with pytest.raises(ValueError):
+            save_instance(str(tmp_path / "nan.json"), inst)
+
+
+def same_json(a, b) -> bool:
+    """a and b hold the same JSON values, every float with the same bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+EDGE_NUMBERS = [
+    "5e-324", "-5e-324", repr(sys.float_info.min), repr(sys.float_info.max),
+    repr(-sys.float_info.max), "-0.0", "0.0", "-0", "1e-06", "1e-6", "1E+22",
+    "0.1", "2.5e-308", "9007199254740993.0", "123456789012345678901234567890e-10",
+    *(str(sign * (2**53 + k)) for sign in (1, -1) for k in (-1, 0, 1, 2)),
+]
+
+
+def test_orjson_reads_what_stdlib_json_reads():
+    """Every file is read with orjson; both parsers give the same values."""
+    paths = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert len(paths) > 20
+    for path in paths:
+        data = path.read_bytes()
+        assert same_json(orjson.loads(data), json.loads(data)), path.name
+    text = "[" + ", ".join(EDGE_NUMBERS) + "]"
+    read, want = orjson.loads(text), json.loads(text)
+    assert same_json(read, want), [(a, b) for a, b in zip(read, want) if not same_json(a, b)]
 
 
 def test_solution_roundtrip(tmp_path):
