@@ -50,7 +50,9 @@ def _config_from_args(args, algorithm: str) -> solvers.SolverConfig:
     )
 
 
-def _load_checked(path: str):
+def _load_checked(path: str, out=None):
+    """The instance at path, or None once the reason is printed: load errors
+    to stderr, validation violations to out (stderr by default)."""
     try:
         instance = harness.load_instance(path)
     except harness.SchemaError as exc:
@@ -60,11 +62,9 @@ def _load_checked(path: str):
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
     violations = validate_instance(instance)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return None
-    return instance
+    for v in violations:
+        print(str(v), file=out or sys.stderr)
+    return None if violations else instance
 
 
 def _cmd_gen(args) -> int:
@@ -92,18 +92,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        instance = harness.load_instance(args.instance)
-    except harness.SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read {args.instance}: {exc}", file=sys.stderr)
-        return 2
-    violations = validate_instance(instance)
-    if violations:
-        for v in violations:
-            print(str(v))
+    if _load_checked(args.instance, sys.stdout) is None:
         return 2
     print("ok")
     return 0

@@ -167,14 +167,7 @@ class DistanceOracle:
         return ids
 
     def distance(self, u: int, v: int) -> float:
-        if self._cache is None and self._matrix is None:
-            return float(self.row(u, [v])[0])
-        # a matrix entry is the value its row would hold
-        self._check(u)
-        self._check(v)
-        if u == v:
-            return 0.0
-        return float((self._matrix if self._cache is None else self._cache)[u, v])
+        return float(self.row(u, [v])[0])
 
     def row(self, u: int, ids) -> np.ndarray:
         """Distances from u to each element of ids, as a float array."""

@@ -204,8 +204,12 @@ def save_solution(path: str, solution: Solution,
 
 
 def load_solution(path: str) -> Solution:
+    """Read a solution, raising SchemaError unless selected is a list of
+    lists of int ids (bools excluded)."""
     selected = _require(_read_json(path), "selected", "")
-    return Solution.from_sets([list(S) for S in selected])
+    if not isinstance(selected, list):
+        raise SchemaError(f"selected must be a list of id lists, got {selected!r}")
+    return Solution.from_sets([_ints(S, f"selected[{j}]") for j, S in enumerate(selected)])
 
 
 @dataclass

@@ -402,8 +402,8 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
       ties it with a larger j, so the top is the _pick winner.
     Under coverage quality gpa's anchor can change with no bound, so no
     proposal of its would outlive its round: coverage gpa proposes for every
-    open cluster at once through _gpa_batch instead. The covering scheme
-    (_enhanced_candidates) proposes for whole rounds as well.
+    open cluster at once through _gpa_batch instead, and the covering scheme
+    (_enhanced_candidates) for whole rounds, both through _anchors and _best_partners.
     """
     qmode = st.inst.quality.kind != "zero"
     policy = _default_policy(st.inst, config)
@@ -530,45 +530,59 @@ def _runs(seg: np.ndarray, k: int) -> tuple:
     return sizes, sizes.cumsum() - sizes
 
 
-def _rows_by_run(st: _State, xs: list, ids: np.ndarray, sizes: np.ndarray,
-                 starts: np.ndarray) -> np.ndarray:
-    """One row(xs[s], run s of ids) per run, concatenated: the reads a
-    per-x loop makes, so every oracle gives the same bits."""
-    return np.concatenate([st.oracle.row(x, ids[lo:lo + k])
-                           for x, lo, k in zip(xs, starts.tolist(), sizes.tolist())])
-
-
-def _gpa_batch(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
-    """gpa's proposals under coverage quality, for every open cluster at once.
-
-    Each open cluster's proposal is _gpa_candidate's: the anchor x is its
-    free member of largest marginal, the partner the free member outside
-    x's cell of largest pair_score, first of equals in member order. The
-    open clusters' free members form one segment each, so a round costs one
-    marginal_vec, one marginal_pairs(anchors, union of the pools) and one
-    row per anchor over its pool, the read _gpa_candidate makes.
+def _anchors(st: _State, open_: list, qmode: bool) -> tuple:
+    """(ids, seg, a, top): the ascending open_'s free members, one segment
+    per cluster (seg[i] is entry i's), and each segment's anchor ids[a[s]],
+    its first maximum top[s] of the quality marginal, or of sums(j) without
+    a quality function; one marginal_vec serves every segment.
     """
-    k = len(open_)
     ids, cluster, cells = st.flat_members
     is_open = np.zeros(st.m, dtype=bool)
     is_open[open_] = True
-    keep = is_open[cluster] & (st.load[cells] == 0)
-    ids, cells = ids[keep], cells[keep]
-    # open_ ascends, so its clusters' segments follow in its order
+    in_open = is_open[cluster]
+    keep = in_open & (st.load[cells] == 0)
+    ids, k = ids[keep], len(open_)
     seg = np.repeat(np.arange(k), np.bincount(cluster[keep], minlength=st.m)[open_])
-    starts = _runs(seg, k)[1]
-    a = _first_max(st.qstate.marginal_vec(ids), seg, starts)
-    xs = ids[a]
-    part = cells != cells[a][seg]
-    pool, seg = ids[part], seg[part]
-    sizes, starts = _runs(seg, k)
+    meas = (st.qstate.marginal_vec(ids) if qmode
+            else np.concatenate([st.sums(j) for j in open_])[keep[in_open]])
+    a = _first_max(meas, seg, _runs(seg, k)[1])
+    return ids, seg, a, meas[a]
+
+
+def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray,
+                   weights: np.ndarray, qmode: bool) -> tuple:
+    """(gains, b): pool[b[s]] is anchor xs[s]'s best partner in run s of pool
+    (seg[i] is entry i's run, weights[i] its weight), first of equals. The
+    reads are one row(xs[s], run s) per anchor, as a per-anchor loop makes,
+    and with a quality function one marginal_pairs(xs, union) for pair_score;
+    without one the farthest partner wins, scaled by (weight - 1) after the
+    argmax so that a zero weight does not tie.
+    """
+    sizes, starts = _runs(seg, len(xs))
+    dist = np.concatenate([st.oracle.row(x, pool[lo:lo + n]) for x, lo, n
+                           in zip(xs.tolist(), starts.tolist(), sizes.tolist())])
+    if not qmode:
+        b = _first_max(dist, seg, starts)
+        return (weights[b] - 1) * dist[b], b
     union = _distinct(pool)
     marg = st.qstate.marginal_pairs(xs, union)[seg, np.searchsorted(union, pool)]
-    xs = xs.tolist()
-    score = objective.pair_score(marg, st.lam, weights[open_][seg],
-                                 _rows_by_run(st, xs, pool, sizes, starts))
+    score = objective.pair_score(marg, st.lam, weights, dist)
     b = _first_max(score, seg, starts)
-    return list(zip(score[b].tolist(), open_, xs, pool[b].tolist()))
+    return score[b], b
+
+
+def _gpa_batch(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
+    """gpa's proposals under a quality function, for every open cluster at
+    once, each _gpa_candidate's: the anchor is the free member of largest
+    marginal, the partner the free member outside the anchor's cell of
+    largest pair_score, first of equals in member order.
+    """
+    ids, seg, a, _ = _anchors(st, open_, qmode)
+    xs, cells = ids[a], st.cells[ids]
+    part = cells != cells[a][seg]
+    pool, seg = ids[part], seg[part]
+    gains, b = _best_partners(st, xs, pool, seg, weights[open_][seg], qmode)
+    return list(zip(gains.tolist(), open_, xs.tolist(), pool[b].tolist()))
 
 
 def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
@@ -581,62 +595,47 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
     and mark every open cluster containing the first element covered. One
     candidate per round; the caller picks the best.
 
-    Which first elements start a round depends on member_of alone, so the
-    walk over them comes first. Their pools, homes and pair scores are then
-    built for all of them at once: one sort of (round, partner, rank) keys
-    gives each pool in id order with every partner's home, and under a
-    quality function one marginal_pairs call serves every round. Distances
-    are one row per first element over its pool, as a per-round loop reads.
+    Nothing changes _State within a call, so one _anchors pass gives every
+    open cluster's first element, and which of them start a round depends
+    on member_of alone: the walk over them comes first. One sort of (round,
+    partner, rank) keys then gives every round's pool in id order with each
+    partner's home, and one _best_partners pass scores them all.
     """
-    uncovered = set(open_)
-    # largest budget first, then lowest id: a round's eligible clusters in this order
-    ranked = sorted(open_, key=lambda j: (-st.budgets[j], j))
-    rank_ids = np.array(ranked)
-    # nothing changes _State within a call, so each open cluster's free
-    # members and first element are read once
-    free_ids, firsts = {}, {}
-    for j in open_:
-        free = st.free_mask(j)
-        free_ids[j] = ids = st.members[j][free]
-        meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
-        k = int(np.argmax(meas))
-        firsts[j] = (float(meas[k]), int(ids[k]))
+    ids, seg, a, top = _anchors(st, open_, qmode)
+    k = len(open_)
+    free = np.split(ids, _runs(seg, k)[1][1:])  # each open cluster's free members
+    firsts = ids[a]
+    # segments by largest budget, then lowest id: a round's eligible clusters in this order
+    ranked = np.argsort(-st.budgets[open_], kind="stable").tolist()
+    rank_ids = np.asarray(open_)[ranked]
     # the _pick order of the first elements, which stay fixed within the call
-    order = sorted(open_, key=lambda j: (-firsts[j][0], j))
-    # inside[i][r]: the first element of order[i] is a member of ranked[r]
-    inside = st.member_of[rank_ids[:, None], [firsts[j][1] for j in order]].T.tolist()
-    xs, parts = [], []  # parts: (round, rank of an eligible cluster, its free ids)
-    for first, hits in zip(order, inside):
-        if first not in uncovered:
+    order = np.argsort(-top, kind="stable").tolist()
+    # inside[i][r]: the first element of segment order[i] is a member of ranked[r]
+    inside = st.member_of[rank_ids[:, None], firsts[order]].T.tolist()
+    uncovered = set(range(k))
+    rounds, parts = [], []  # parts: (round, rank of an eligible cluster, its free ids)
+    for s, hits in zip(order, inside):
+        if s not in uncovered:
             continue
         ranks = [i for i, hit in enumerate(hits) if hit]
-        parts += [(len(xs), i, free_ids[ranked[i]]) for i in ranks]
-        xs.append(firsts[first][1])
+        parts += [(len(rounds), i, free[ranked[i]]) for i in ranks]
+        rounds.append(s)
         uncovered.difference_update(ranked[i] for i in ranks)
-    k, nr = len(xs), len(ranked)
-    # key (round * n + partner) * nr + rank: distinct, and sorted they list
+    # key (round * n + partner) * k + rank: distinct, and sorted they list
     # each round's partners in id order and a partner's eligible clusters in
     # rank order, so a partner's first key names its home
-    key = np.concatenate([p[2] for p in parts]) * nr + np.repeat(
-        [(t * st.n) * nr + i for t, i, _ in parts], [p[2].size for p in parts])
-    pair, rank = np.divmod(np.sort(key), nr)
+    key = np.concatenate([p[2] for p in parts]) * k + np.repeat(
+        [(t * st.n) * k + i for t, i, _ in parts], [p[2].size for p in parts])
+    pair, rank = np.divmod(np.sort(key), k)
     head = np.ones(pair.size, dtype=bool)
     head[1:] = pair[1:] != pair[:-1]
     rnd, pool = np.divmod(pair[head], st.n)
     homes = rank_ids[rank[head]]
+    xs = firsts[rounds]
     part = st.cells[pool] != st.cells[xs][rnd]
     rnd, pool, homes = rnd[part], pool[part], homes[part]
-    sizes, starts = _runs(rnd, k)
-    dist = _rows_by_run(st, xs, pool, sizes, starts)
-    if not qmode:
-        b = _first_max(dist, rnd, starts)
-        return [(float((weights[c] - 1) * float(d)), int(c), x, int(y))
-                for d, c, x, y in zip(dist[b], homes[b], xs, pool[b])]
-    union = _distinct(pool)
-    marg = st.qstate.marginal_pairs(np.array(xs), union)[rnd, np.searchsorted(union, pool)]
-    score = objective.pair_score(marg, st.lam, weights[homes], dist)
-    b = _first_max(score, rnd, starts)
-    return list(zip(score[b].tolist(), homes[b].tolist(), xs, pool[b].tolist()))
+    gains, b = _best_partners(st, xs, pool, rnd, weights[homes], qmode)
+    return list(zip(gains.tolist(), homes[b].tolist(), xs.tolist(), pool[b].tolist()))
 
 
 def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
@@ -653,7 +652,7 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     Rounds, the reuse of proposals and odd budgets are as in _greedy_pairs:
     under zero or modular quality _lazy_round reuses _gpa_candidate's
     proposals, and under coverage quality _gpa_batch proposes for every open
-    cluster at once.
+    cluster at once, through the steps the covering scheme shares.
 
     Returns (Solution, SolveTrace).
     """
@@ -669,6 +668,21 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     return _greedy_pairs(st, cfg, _lazy_round(propose_one, bound=False))
 
 
+def _fill(st: _State, cfg: SolverConfig, order, pick) -> tuple:
+    """gelms's and rn's fill: in cfg.cluster_order, or else order(), each
+    cluster j takes v of (v, gain) = pick(j, ids, free), ids its free members
+    and free their mask, until it is at its budget or has no free member."""
+    order = _check_order(cfg.cluster_order, st.m) if cfg.cluster_order else order()
+    for j in order:
+        while len(st.sel[j]) < st.budgets[j]:
+            free = st.free_mask(j)
+            ids = st.members[j][free]
+            if ids.size == 0:
+                break
+            st.add_single(j, *pick(j, ids, free))
+    return st.finish()
+
+
 def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """Greedy single elements, cluster by cluster.
 
@@ -681,17 +695,12 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     """
     cfg = _norm_config(config, Algorithm.GELMS)
     st = _State(instance, "gelms")
-    order = _check_order(cfg.cluster_order, st.m) if cfg.cluster_order else list(range(st.m))
-    for j in order:
-        while len(st.sel[j]) < st.budgets[j]:
-            free = st.free_mask(j)
-            ids = st.members[j][free]
-            if ids.size == 0:
-                break
-            gains = st.qstate.marginal_vec(ids) + st.lam * st.sums(j)[free]
-            k = gains.argmax()
-            st.add_single(j, int(ids[k]), float(gains[k]))
-    return st.finish()
+
+    def pick(j, ids, free):
+        gains = st.qstate.marginal_vec(ids) + st.lam * st.sums(j)[free]
+        k = gains.argmax()
+        return int(ids[k]), float(gains[k])
+    return _fill(st, cfg, lambda: range(st.m), pick)
 
 
 def _best_single(st: _State, j: int, qmode: bool, weight: int) -> tuple:
@@ -739,23 +748,14 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
     cfg = _norm_config(config, Algorithm.RN)
     st = _State(instance, "rn")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.cluster_order:
-        order = _check_order(cfg.cluster_order, st.m)
-    else:
-        order = rng.permutation(st.m).tolist()
-    for j in order:
-        while len(st.sel[j]) < st.budgets[j]:
-            ids = st.free_members(j)
-            if ids.size == 0:
-                break
-            v = int(ids[int(rng.integers(ids.size))])
-            st.add_single(j, v, 0.0)
-    return st.finish()
+    return _fill(st, cfg, lambda: rng.permutation(st.m).tolist(),
+                 lambda j, ids, free: (int(ids[int(rng.integers(ids.size))]), 0.0))
 
 
 def _local_search(instance: Instance, config: SolverConfig | None,
-                  init: Solution | None, use_combined: bool, name: str) -> tuple:
-    cfg = _norm_config(config, Algorithm.LSI if use_combined else Algorithm.LSG)
+                  init: Solution | None, use_combined: bool) -> tuple:
+    algorithm = Algorithm.LSI if use_combined else Algorithm.LSG
+    cfg = _norm_config(config, algorithm)
     if init is None:
         init, _ = solve_rn(instance, dataclasses.replace(cfg, algorithm=Algorithm.RN))
     else:
@@ -763,7 +763,7 @@ def _local_search(instance: Instance, config: SolverConfig | None,
         if bad:
             raise ValueError(f"infeasible local search start: {bad[0]}")
     # lsg climbs the union's global dispersion and ignores quality.
-    st = _State(instance, name, None if use_combined else qual.QualityFunction.zero(),
+    st = _State(instance, algorithm.value, None if use_combined else qual.QualityFunction.zero(),
                 start=init.selected)
     oracle, cells = st.oracle, st.cells
     scale = st.lam if use_combined else 1.0
@@ -823,7 +823,7 @@ def solve_lsi(instance: Instance, config: SolverConfig | None = None,
     stores the start and one swap event per move, whose gain is the change
     of the combined objective up to rounding.
     """
-    return _local_search(instance, config, init, use_combined=True, name="lsi")
+    return _local_search(instance, config, init, use_combined=True)
 
 
 def solve_lsg(instance: Instance, config: SolverConfig | None = None,
@@ -835,7 +835,7 @@ def solve_lsg(instance: Instance, config: SolverConfig | None = None,
     pairs of the union, cross-cluster pairs included. Returns (Solution,
     SolveTrace).
     """
-    return _local_search(instance, config, init, use_combined=False, name="lsg")
+    return _local_search(instance, config, init, use_combined=False)
 
 
 def alpha_acceptable(instance: Instance, partial, cluster_id: int,

@@ -147,6 +147,17 @@ def test_solution_roundtrip(tmp_path):
     assert "objective" in d
 
 
+@pytest.mark.parametrize("selected, field", [
+    ([[0, 1.7]], "selected[0][1]"), ([["3"]], "selected[0][0]"), ([[True]], "selected[0][0]"),
+    (5, "selected"), ([5], "selected[0]")], ids=["float", "string", "bool", "scalar", "scalar-set"])
+def test_malformed_solution_ids_are_schema_errors(tmp_path, selected, field):
+    p = tmp_path / "sol.json"
+    p.write_text(json.dumps({"selected": selected}))
+    with pytest.raises(SchemaError) as err:
+        load_solution(str(p))
+    assert str(err.value).startswith(f"{field} must be")
+
+
 def test_single_run_normalizes_to_one():
     inst = gen_random(GenSpec(family="random", n=40, m=4, budgets=3, overlap=2, seed=6))
     spec = ExperimentSpec(instance=inst,
