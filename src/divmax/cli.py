@@ -50,9 +50,10 @@ def _config_from_args(args, algorithm: str) -> solvers.SolverConfig:
     )
 
 
-def _load_checked(path: str, out=None):
-    """The instance at path, or None once the reason is printed: load errors
-    to stderr, validation violations to out (stderr by default)."""
+def _load_checked(path: str, out=None, lam=None):
+    """The instance at path, with lambda replaced by lam unless it is None,
+    or None once the reason is printed: load errors to stderr, validation
+    violations to out (stderr by default)."""
     try:
         instance = harness.load_instance(path)
     except harness.SchemaError as exc:
@@ -61,6 +62,8 @@ def _load_checked(path: str, out=None):
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
+    if lam is not None:
+        instance = dataclasses.replace(instance, lam=lam)
     violations = validate_instance(instance)
     for v in violations:
         print(str(v), file=out or sys.stderr)
@@ -99,11 +102,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_checked(args.instance)
+    instance = _load_checked(args.instance, lam=args.lam)
     if instance is None:
         return 2
-    if args.lam is not None:
-        instance = dataclasses.replace(instance, lam=args.lam)
     cfg = _config_from_args(args, args.algorithm)
     solution, trace = solvers.solve(instance, cfg)
     val = objective.combined_objective(instance, solution)
@@ -120,11 +121,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = _load_checked(args.instance)
+    instance = _load_checked(args.instance, lam=args.lam)
     if instance is None:
         return 2
-    if args.lam is not None:
-        instance = dataclasses.replace(instance, lam=args.lam)
     try:
         solution, value = solvers.solve_exact(instance, limit=args.limit)
     except solvers.OracleLimitError as exc:

@@ -146,6 +146,11 @@ def _selected_sets(partial, m: int) -> list:
     return sets
 
 
+def _check_cluster(instance: Instance, cluster_id: int) -> None:
+    if not 0 <= cluster_id < instance.m:
+        raise IndexError(f"cluster id {cluster_id} out of range [0, {instance.m})")
+
+
 def validate_instance(instance: Instance) -> list:
     """Structural and semantic validation.
 
@@ -377,6 +382,7 @@ def available_elements(instance: Instance, partial, cluster_id: int) -> list:
     cell. A selected element occupies its own cell, so it is never
     available. Returned sorted ascending.
     """
+    _check_cluster(instance, cluster_id)
     sets = _selected_sets(partial, instance.m)
     cells = instance.cell_of()
     load = np.bincount(cells[[v for S in sets for v in S]], minlength=instance.n)
@@ -393,9 +399,9 @@ def is_saturated(instance: Instance, partial, cluster_id: int,
     the even-rounded budget 2*floor(b/2), or the available members span
     fewer than two partition cells.
     """
+    avail = available_elements(instance, partial, cluster_id)  # checks cluster_id
     c = instance.clusters[cluster_id]
     size = len(_selected_sets(partial, instance.m)[cluster_id])
-    avail = available_elements(instance, partial, cluster_id)
     if not pair_mode:
         return size >= c.budget or not avail
     cells = instance.cell_of()

@@ -34,7 +34,7 @@ from itertools import combinations, count
 import numpy as np
 
 from . import objective, quality as qual
-from .model import Instance, Solution, _selected_sets, is_feasible
+from .model import Instance, Solution, _check_cluster, _selected_sets, is_feasible
 
 DEFAULT_ORACLE_LIMIT = 10_000_000
 
@@ -94,6 +94,8 @@ def _norm_config(config: SolverConfig | None, algorithm: Algorithm) -> SolverCon
         raise ValueError(f"alpha must be in (0, 1], got {config.alpha!r}")
     if config.epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {config.epsilon!r}")
+    if config.max_ls_iters is not None and config.max_ls_iters < 0:
+        raise ValueError(f"max_ls_iters must be >= 0, got {config.max_ls_iters!r}")
     return config
 
 
@@ -111,7 +113,9 @@ class _State:
     is free when its cell's load is zero. A selected element fills its own
     cell, so the same rule also excludes every element already taken. start
     seeds the selection (per-cluster collections) without trace events; q
-    overrides the tracked quality function.
+    overrides the tracked quality function. qmode says whether that function
+    is nonzero, and weights[j] is cluster j's pair weight: b_j without a
+    quality function, b'_j = 2 * ceil(b_j / 2) with one.
 
     sums(j)[i] is the sum of distances from S_j to members[j][i]. The first
     sums call builds them for every cluster from the current selection, and
@@ -142,6 +146,8 @@ class _State:
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
+        self.qmode = self.qstate.q.kind != "zero"
+        self.weights = self.budgets + self.budgets % 2 if self.qmode else self.budgets
         self.events = []
         self.algorithm = algorithm
         self.init = start
@@ -257,12 +263,6 @@ def _loop_budgets(budgets: np.ndarray, policy: OddPolicy) -> np.ndarray:
     return budgets - (budgets % 2)
 
 
-def _pair_weights(budgets: np.ndarray, qmode: bool) -> np.ndarray:
-    if qmode:
-        return budgets + (budgets % 2)
-    return budgets.copy()
-
-
 def _default_policy(instance: Instance, config: SolverConfig) -> OddPolicy:
     if config.odd_policy is not None:
         return OddPolicy(config.odd_policy)
@@ -285,7 +285,7 @@ def _pick(cands: list) -> tuple:
                key=lambda c: (min(c[2:]), max(c[2:])))
 
 
-def _best_pair(st: _State, j: int, qmode: bool, weight: int) -> tuple:
+def _best_pair(st: _State, j: int) -> tuple:
     """Exact best feasible pair in cluster j, as (gain, j, u, v).
 
     Scans every remaining pair; the first maximum wins, which is the
@@ -295,10 +295,11 @@ def _best_pair(st: _State, j: int, qmode: bool, weight: int) -> tuple:
     """
     ids = st.free_members(j)
     k = ids.size
+    weight = int(st.weights[j])
     D = st.oracle.pairwise(ids)
     cells = st.cells[ids]
     same = cells[:, None] == cells[None, :]
-    if not qmode:
+    if not st.qmode:
         # raw distances, scaled after the argmax: a zero weight must not tie
         D[same] = -np.inf
         best = None
@@ -377,15 +378,15 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
 
     Each round lists the open clusters: those with room for a pair under
     their loop budget (even-rounded down, or up under the round-up removal
-    policy) whose free members span two cells. propose(st, open_, qmode,
-    weights) returns candidates (gain, j, u, v), and the _pick winner is
-    added. Odd budgets are then settled by the configured policy: one extra
-    element per odd cluster, or removal of the element with the smallest
-    contribution measure.
+    policy) whose free members span two cells. propose(st, open_) returns
+    candidates (gain, j, u, v), and the _pick winner is added. Odd budgets
+    are then settled by the configured policy: one extra element per odd
+    cluster, or removal of the element with the smallest contribution
+    measure.
 
-    gp, and gpa under zero or modular quality, propose through _lazy_round,
-    which keeps each cluster's last proposal and returns the same winner as
-    proposing for every open cluster:
+    gp and gpa propose through _lazy_round, which keeps each cluster's last
+    proposal and returns the same winner as proposing for every open
+    cluster:
     - Versions: the loop only adds, so empty_cells()[j] only falls, and it
       falls exactly when a cell of cluster j fills. That changes the free
       members of j, and every add to S_j fills a cell of j, so a change to
@@ -400,58 +401,60 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
       in a heap keyed (-gain, j); a stale top is refreshed and pushed back
       until the top is fresh. Every other cluster then scores below it, or
       ties it with a larger j, so the top is the _pick winner.
-    Under coverage quality gpa's anchor can change with no bound, so no
-    proposal of its would outlive its round: coverage gpa proposes for every
-    open cluster at once through _gpa_batch instead, and the covering scheme
-    (_enhanced_candidates) for whole rounds, both through _anchors and _best_partners.
+    gpa's anchor can change with no bound, so it refreshes every stale
+    cluster at once: with a quality function in one _gpa_batch call, and
+    under coverage every open cluster is stale each round. The covering
+    scheme (_enhanced_candidates) proposes whole rounds; it shares
+    _gpa_batch's steps, _anchors and _best_partners.
     """
-    qmode = st.inst.quality.kind != "zero"
     policy = _default_policy(st.inst, config)
     loopb = _loop_budgets(st.budgets, policy).tolist()
-    weights = _pair_weights(st.budgets, qmode)
     open_ = range(st.m)
     while True:
         # room and a pair across cells only get lost, so closed stays closed
         open_ = [j for j in open_ if len(st.sel[j]) + 2 <= loopb[j] and st.has_pair(j)]
         if not open_:
             break
-        g, j, u, v = _pick(propose(st, open_, qmode, weights))
+        g, j, u, v = _pick(propose(st, open_))
         st.add_pair(j, u, v, g)
     _odd_phase(st, policy)
     return st.finish()
 
 
-def _lazy_round(propose_one, bound: bool):
-    """A round proposer over propose_one(st, j, qmode, weight) that reuses
-    proposals by the rules in _greedy_pairs and returns the winner alone.
+def _lazy_round(propose, bound: bool):
+    """A round proposer over propose(st, js), one proposal per cluster of the
+    ascending js, that reuses proposals by the rules in _greedy_pairs and
+    returns the winner alone.
 
     bound says whether a stale proposal's gain bounds the cluster's current
     one; the caller decides, since only it knows what its proposals read.
-    The loop that calls it must only add, so that empty_cells() only falls.
-    gp, mc and gpa under zero or modular quality propose through it.
+    Without bounds, and in the first round, every stale open cluster is
+    refreshed in one call; with them, the stale cluster that leads the heap,
+    as [j]. The loop that calls it must only add, so that empty_cells() only
+    falls. gp, gpa and mc propose through it.
     """
     heap = []  # (-gain, j, seq) of every proposal made, newest per j valid
     last = {}  # j -> (seq, version when proposed, proposal)
     seq = count()
 
-    def propose(st, open_, qmode, weights):
+    def round_(st, open_):
         # each cluster's current version: under coverage quality the round
-        if st.inst.quality.kind == "coverage":
+        if st.qstate.q.kind == "coverage":
             now = [len(st.events)] * st.m
         else:
             now = st.empty_cells().tolist()
 
-        def refresh(j):
-            cand = propose_one(st, j, qmode, int(weights[j]))
-            k = next(seq)
-            last[j] = (k, now[j], cand)
-            heapq.heappush(heap, (-cand[0], j, k))
+        def refresh(js):
+            for j, cand in zip(js, propose(st, js)):
+                k = next(seq)
+                last[j] = (k, now[j], cand)
+                heapq.heappush(heap, (-cand[0], j, k))
 
         if not (last and bound):
             # no bounds to trust: refresh every stale cluster before the top
-            for j in open_:
-                if j not in last or last[j][1] != now[j]:
-                    refresh(j)
+            stale = [j for j in open_ if j not in last or last[j][1] != now[j]]
+            if stale:
+                refresh(stale)
         opened = set(open_)
         while True:
             _, j, k = heap[0]
@@ -460,8 +463,8 @@ def _lazy_round(propose_one, bound: bool):
                 return [cand]
             heapq.heappop(heap)
             if k == kj and j in opened:
-                refresh(j)  # stale, and its bound leads
-    return propose
+                refresh([j])  # stale, and its bound leads
+    return round_
 
 
 def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
@@ -473,35 +476,24 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GP)
-    return _greedy_pairs(_State(instance, "gp"), cfg, _lazy_round(_best_pair, bound=True))
+    propose = _lazy_round(lambda st, js: [_best_pair(st, j) for j in js], bound=True)
+    return _greedy_pairs(_State(instance, "gp"), cfg, propose)
 
 
-def _partners(st: _State, x: int, ids: np.ndarray) -> np.ndarray:
-    """The ids outside x's cell, which also leaves out x itself."""
-    return ids[st.cells[ids] != st.cells[x]]
-
-
-def _gpa_candidate(st: _State, j: int, alpha: float, qmode: bool, weight: int) -> tuple:
-    """gpa's proposal for cluster j, as (gain, j, x, y); coverage quality
-    proposes through _gpa_batch, which makes the same proposals."""
+def _gpa_candidate(st: _State, j: int, alpha: float) -> tuple:
+    """gpa's proposal for cluster j without a quality function, as (gain, j,
+    x, y); with one, gpa proposes through _gpa_batch."""
     free = st.free_mask(j)
     ids = st.members[j][free]
-    if not qmode:
-        # while S_j is empty every sum is zero and the anchor is ids[0]
-        sums = st.sums(j)[free]
-        x = int(ids[sums.argmax()])
-        other = st.cells[ids] != st.cells[x]
-        pool, sums = ids[other], sums[other]
-        rows = st.oracle.row(x, pool)
-        sums[rows < alpha * float(rows.max())] = -np.inf  # only near partners compete
-        k = int(sums.argmax())
-        return (weight - 1) * float(rows[k]), j, x, int(pool[k])
-    x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
-    pool = _partners(st, x, ids)
-    score = objective.pair_score(
-        st.qstate.marginal_pair(x, pool), st.lam, weight, st.oracle.row(x, pool))
-    k = int(np.argmax(score))
-    return float(score[k]), j, x, int(pool[k])
+    # while S_j is empty every sum is zero and the anchor is ids[0]
+    sums = st.sums(j)[free]
+    x = int(ids[sums.argmax()])
+    other = st.cells[ids] != st.cells[x]
+    pool, sums = ids[other], sums[other]
+    rows = st.oracle.row(x, pool)
+    sums[rows < alpha * float(rows.max())] = -np.inf  # only near partners compete
+    k = int(sums.argmax())
+    return (int(st.weights[j]) - 1) * float(rows[k]), j, x, int(pool[k])
 
 
 def _first_max(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -530,7 +522,7 @@ def _runs(seg: np.ndarray, k: int) -> tuple:
     return sizes, sizes.cumsum() - sizes
 
 
-def _anchors(st: _State, open_: list, qmode: bool) -> tuple:
+def _anchors(st: _State, open_: list) -> tuple:
     """(ids, seg, a, top): the ascending open_'s free members, one segment
     per cluster (seg[i] is entry i's), and each segment's anchor ids[a[s]],
     its first maximum top[s] of the quality marginal, or of sums(j) without
@@ -543,25 +535,27 @@ def _anchors(st: _State, open_: list, qmode: bool) -> tuple:
     keep = in_open & (st.load[cells] == 0)
     ids, k = ids[keep], len(open_)
     seg = np.repeat(np.arange(k), np.bincount(cluster[keep], minlength=st.m)[open_])
-    meas = (st.qstate.marginal_vec(ids) if qmode
+    meas = (st.qstate.marginal_vec(ids) if st.qmode
             else np.concatenate([st.sums(j) for j in open_])[keep[in_open]])
     a = _first_max(meas, seg, _runs(seg, k)[1])
     return ids, seg, a, meas[a]
 
 
 def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray,
-                   weights: np.ndarray, qmode: bool) -> tuple:
+                   homes: np.ndarray) -> tuple:
     """(gains, b): pool[b[s]] is anchor xs[s]'s best partner in run s of pool
-    (seg[i] is entry i's run, weights[i] its weight), first of equals. The
-    reads are one row(xs[s], run s) per anchor, as a per-anchor loop makes,
-    and with a quality function one marginal_pairs(xs, union) for pair_score;
-    without one the farthest partner wins, scaled by (weight - 1) after the
-    argmax so that a zero weight does not tie.
+    (seg[i] is entry i's run, homes[i] the cluster that would take it, whose
+    pair weight it gets), first of equals. The reads are one row(xs[s], run
+    s) per anchor, as a per-anchor loop makes, and with a quality function
+    one marginal_pairs(xs, union) for pair_score; without one the farthest
+    partner wins, scaled by (weight - 1) after the argmax so that a zero
+    weight does not tie.
     """
     sizes, starts = _runs(seg, len(xs))
     dist = np.concatenate([st.oracle.row(x, pool[lo:lo + n]) for x, lo, n
                            in zip(xs.tolist(), starts.tolist(), sizes.tolist())])
-    if not qmode:
+    weights = st.weights[homes]
+    if not st.qmode:
         b = _first_max(dist, seg, starts)
         return (weights[b] - 1) * dist[b], b
     union = _distinct(pool)
@@ -571,21 +565,21 @@ def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray
     return score[b], b
 
 
-def _gpa_batch(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
-    """gpa's proposals under a quality function, for every open cluster at
-    once, each _gpa_candidate's: the anchor is the free member of largest
+def _gpa_batch(st: _State, js: list) -> list:
+    """gpa's proposals under a quality function, one per cluster of the
+    ascending js, at once: the anchor is the free member of largest
     marginal, the partner the free member outside the anchor's cell of
     largest pair_score, first of equals in member order.
     """
-    ids, seg, a, _ = _anchors(st, open_, qmode)
+    ids, seg, a, _ = _anchors(st, js)
     xs, cells = ids[a], st.cells[ids]
     part = cells != cells[a][seg]
     pool, seg = ids[part], seg[part]
-    gains, b = _best_partners(st, xs, pool, seg, weights[open_][seg], qmode)
-    return list(zip(gains.tolist(), open_, xs.tolist(), pool[b].tolist()))
+    gains, b = _best_partners(st, xs, pool, seg, np.asarray(js)[seg])
+    return list(zip(gains.tolist(), js, xs.tolist(), pool[b].tolist()))
 
 
-def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarray) -> list:
+def _enhanced_candidates(st: _State, open_: list) -> list:
     """Candidate pairs from the covering scheme.
 
     Rounds pick a first element from the still uncovered open clusters
@@ -601,7 +595,7 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
     partner, rank) keys then gives every round's pool in id order with each
     partner's home, and one _best_partners pass scores them all.
     """
-    ids, seg, a, top = _anchors(st, open_, qmode)
+    ids, seg, a, top = _anchors(st, open_)
     k = len(open_)
     free = np.split(ids, _runs(seg, k)[1][1:])  # each open cluster's free members
     firsts = ids[a]
@@ -634,7 +628,7 @@ def _enhanced_candidates(st: _State, open_: list, qmode: bool, weights: np.ndarr
     xs = firsts[rounds]
     part = st.cells[pool] != st.cells[xs][rnd]
     rnd, pool, homes = rnd[part], pool[part], homes[part]
-    gains, b = _best_partners(st, xs, pool, rnd, weights[homes], qmode)
+    gains, b = _best_partners(st, xs, pool, rnd, homes)
     return list(zip(gains.tolist(), homes[b].tolist(), xs.tolist(), pool[b].tolist()))
 
 
@@ -650,22 +644,21 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
     relaxation for every alpha <= 1. The best proposal wins the round. The
     enhanced flag switches proposals to the covering scheme (alpha ignored).
     Rounds, the reuse of proposals and odd budgets are as in _greedy_pairs:
-    under zero or modular quality _lazy_round reuses _gpa_candidate's
-    proposals, and under coverage quality _gpa_batch proposes for every open
-    cluster at once, through the steps the covering scheme shares.
+    _lazy_round refreshes the stale clusters' proposals, through _gpa_batch
+    with a quality function and _gpa_candidate without one.
 
     Returns (Solution, SolveTrace).
     """
     cfg = _norm_config(config, Algorithm.GPA)
     st = _State(instance, "gpa")
     if cfg.enhanced:
-        return _greedy_pairs(st, cfg, _enhanced_candidates)
-    if st.inst.quality.kind == "coverage":
-        return _greedy_pairs(st, cfg, _gpa_batch)
-
-    def propose_one(st, j, qmode, weight):
-        return _gpa_candidate(st, j, cfg.alpha, qmode, weight)
-    return _greedy_pairs(st, cfg, _lazy_round(propose_one, bound=False))
+        propose = _enhanced_candidates
+    elif st.qmode:
+        propose = _lazy_round(_gpa_batch, bound=False)
+    else:
+        propose = _lazy_round(lambda st, js: [_gpa_candidate(st, j, cfg.alpha) for j in js],
+                              bound=False)
+    return _greedy_pairs(st, cfg, propose)
 
 
 def _fill(st: _State, cfg: SolverConfig, order, pick) -> tuple:
@@ -703,9 +696,9 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     return _fill(st, cfg, lambda: range(st.m), pick)
 
 
-def _best_single(st: _State, j: int, qmode: bool, weight: int) -> tuple:
+def _best_single(st: _State, j: int) -> tuple:
     """mc's proposal for cluster j: its free member of largest quality
-    marginal, first of equals, as (gain, j, v); qmode and weight are unused."""
+    marginal, first of equals, as (gain, j, v)."""
     ids = st.free_members(j)
     margs = st.qstate.marginal_vec(ids)
     k = int(margs.argmax())
@@ -727,7 +720,7 @@ def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
     """
     _norm_config(config, Algorithm.MC)
     st = _State(instance, "mc")
-    propose = _lazy_round(_best_single, bound=True)
+    propose = _lazy_round(lambda st, js: [_best_single(st, j) for j in js], bound=True)
     open_ = range(st.m)
     while True:
         # budgets and free members only get used up, so closed stays closed
@@ -735,7 +728,7 @@ def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
                  if len(st.sel[j]) < st.budgets[j] and st.empty_cells()[j] >= 1]
         if not open_:
             break
-        g, j, v = propose(st, open_, False, st.budgets)[0]
+        g, j, v = propose(st, open_)[0]
         st.add_single(j, v, g)
     return st.finish()
 
@@ -850,19 +843,21 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_cluster(instance, cluster_id)
     st = _State(instance, "alpha", q, start=_selected_sets(partial, instance.m))
     if lam is None:
         lam = st.lam
     ids = st.free_members(cluster_id)
     if x not in ids:
         return False
-    partners = _partners(st, x, ids)
+    partners = ids[st.cells[ids] != st.cells[x]]  # leaves out x too
     if y not in partners:
         return False
     marg_x = st.qstate.marginal(x)
     if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
-    w = _pair_weights(st.budgets, True)[cluster_id]
+    b = st.budgets[cluster_id]
+    w = b + b % 2
     margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w,
                                   st.oracle.row(x, partners)) - marg_x
     return bool(margin[partners == y][0] >= alpha * margin.max())

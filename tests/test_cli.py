@@ -109,6 +109,18 @@ def test_non_finite_numbers_are_not_json(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("schema error: not valid JSON")
 
 
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "gp"], ["oracle"]],
+                         ids=["solve", "oracle"])
+def test_lambda_override_is_validated(tmp_path, capsys, command, lam):
+    path = tmp_path / "small.json"
+    assert main(["gen", "--family", "random", "--n", "8", "--m", "2", "--budgets", "2",
+                 "--overlap", "2", "--seed", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main([command[0], "--instance", str(path), *command[1:], f"--lambda={lam}"]) == 2
+    assert "schema at lambda: lambda must be >= 0" in capsys.readouterr().err
+
+
 def test_solve_gpa_flags(tmp_path):
     inst = gen_instance(tmp_path)
     out = tmp_path / "sol.json"

@@ -9,8 +9,9 @@ import pytest
 from divmax import (Algorithm, Cluster, DistanceOracle, GenSpec, Instance, OddPolicy,
                     OracleLimitError, objective,
                     QualityFunction, Solution, SolverConfig, alpha_acceptable,
-                    approximation_ratio, combined_objective, gen_fig1, gen_random,
-                    intra_dispersion, is_feasible, pair_gain_combined, removal_measure,
+                    approximation_ratio, available_elements, combined_objective, gen_fig1,
+                    gen_random, intra_dispersion, is_feasible, is_saturated,
+                    pair_gain_combined, pair_gain_dispersion, removal_measure,
                     replay_trace, solve, solve_exact, solve_gelms, solve_gp, solve_gpa,
                     solve_lsi, solve_mc, solve_rn, solvers)
 
@@ -315,10 +316,10 @@ def test_enhanced_reads_each_first_element_once_per_call(monkeypatch, quality):
         reads.append(j)
         return real_sums(self, j)
 
-    def candidates(st, open_, qmode, weights):
+    def candidates(st, open_):
         free = [v for j in open_ for v in st.free_members(j).tolist()]
         reads.clear()
-        cands = real_candidates(st, open_, qmode, weights)
+        cands = real_candidates(st, open_)
         assert reads == ([free] if quality == "coverage" else list(open_))
         rounds.append(len(cands))
         return cands
@@ -332,11 +333,12 @@ def test_enhanced_reads_each_first_element_once_per_call(monkeypatch, quality):
 
 def _eager_pairs(inst, config):
     """gp or gpa proposing afresh for every open cluster every round."""
-    def propose(st, open_, qmode, weights):
+    def propose(st, open_):
         if config.algorithm == Algorithm.GP:
-            return [solvers._best_pair(st, j, qmode, int(weights[j])) for j in open_]
-        return [solvers._gpa_candidate(st, j, config.alpha, qmode, int(weights[j]))
-                for j in open_]
+            return [solvers._best_pair(st, j) for j in open_]
+        if st.qmode:
+            return _gpa_round(st, open_)
+        return [solvers._gpa_candidate(st, j, config.alpha) for j in open_]
     return solvers._greedy_pairs(solvers._State(inst, config.algorithm.value), config, propose)
 
 
@@ -410,6 +412,20 @@ def test_untouched_proposals_are_reused(monkeypatch):
         _, trace = solve(inst, SolverConfig(algorithm=algorithm))
         rounds = sum(e.kind == "pair" for e in trace.events)
         assert rounds == 12 and calls[name] <= inst.m + rounds - 1, algorithm
+    # the modular twin: gpa refreshes only the touched clusters through the batch
+    proposed = [0]
+
+    def batch(st, js, _real=solvers._gpa_batch):
+        cands = _real(st, js)
+        proposed[0] += len(cands)
+        return cands
+
+    monkeypatch.setattr(solvers, "_gpa_batch", batch)
+    twin = dataclasses.replace(inst, quality=QualityFunction.modular(rng.random(60)))
+    _, trace = solve(twin, SolverConfig(algorithm=Algorithm.GPA))
+    rounds = sum(e.kind == "pair" for e in trace.events)
+    # round-up removal, the default with quality, pairs cluster 3 up to 8, not 6
+    assert rounds == 13 and 0 < proposed[0] <= twin.m + rounds - 1
 
 
 def _removal_loop(st, policy):
@@ -489,21 +505,22 @@ def test_one_pass_removal_matches_removal_measure(monkeypatch, seed):
     assert max(sizes) >= 9  # measures that sum 8 or more distances
 
 
-def _gpa_round(st, open_, qmode, weights):
-    """Coverage gpa's proposals one cluster at a time: the reference for _gpa_batch."""
+def _gpa_round(st, open_):
+    """gpa's proposals under a quality function one cluster at a time: the
+    reference for _gpa_batch."""
     cands = []
     for j in open_:
         ids = st.free_members(j)
         x = int(ids[int(np.argmax(st.qstate.marginal_vec(ids)))])
         pool = ids[st.cells[ids] != st.cells[x]]
         score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
-                                     int(weights[j]), st.oracle.row(x, pool))
+                                     int(st.weights[j]), st.oracle.row(x, pool))
         k = int(np.argmax(score))
         cands.append((float(score[k]), j, x, int(pool[k])))
     return cands
 
 
-def _covering_loop(st, open_, qmode, weights):
+def _covering_loop(st, open_):
     """The covering scheme with one pool, home lookup and score per round: the
     reference for _enhanced_candidates."""
     uncovered = set(open_)
@@ -517,7 +534,7 @@ def _covering_loop(st, open_, qmode, weights):
     for j in open_:
         free = st.free_mask(j)
         free_ids[j] = ids = st.members[j][free]
-        meas = st.qstate.marginal_vec(ids) if qmode else st.sums(j)[free]
+        meas = st.qstate.marginal_vec(ids) if st.qmode else st.sums(j)[free]
         k = int(np.argmax(meas))
         firsts[j] = (float(meas[k]), j, int(ids[k]))
     for first in sorted(open_, key=lambda j: (-firsts[j][0], j)):
@@ -527,16 +544,16 @@ def _covering_loop(st, open_, qmode, weights):
         elig = ranked[st.member_of[ranked, x]]
         pool = np.unique(np.concatenate([free_ids[j] for j in elig.tolist()]))
         pool = pool[st.cells[pool] != st.cells[x]]
-        if not qmode:
+        if not st.qmode:
             rows = st.oracle.row(x, pool)
             k = int(np.argmax(rows))
             y = int(pool[k])
             cluster = int(home(elig, pool[k:k + 1])[0])
-            gain = (weights[cluster] - 1) * float(rows[k])
+            gain = (st.weights[cluster] - 1) * float(rows[k])
         else:
             homes = home(elig, pool)
             score = objective.pair_score(st.qstate.marginal_pair(x, pool), st.lam,
-                                         weights[homes], st.oracle.row(x, pool))
+                                         st.weights[homes], st.oracle.row(x, pool))
             k = int(np.argmax(score))
             gain, y, cluster = score[k], int(pool[k]), int(homes[k])
         cands.append((float(gain), cluster, x, y))
@@ -563,12 +580,12 @@ def test_batched_round_matches_per_cluster_proposals(monkeypatch):
     seen = {"rounds": 0, "shared anchor": 0, "tie": 0, "uncached cosine": 0}
 
     def checked(batch, reference):
-        def propose(st, open_, qmode, weights):
-            got = batch(st, open_, qmode, weights)
-            assert got == reference(st, open_, qmode, weights)
-            if qmode and batch is real_covering:
-                # the gpa batch reads modular states as well, and runs on every state here
-                assert real_gpa(st, open_, qmode, weights) == _gpa_round(st, open_, qmode, weights)
+        def propose(st, open_):
+            got = batch(st, open_)
+            assert got == reference(st, open_)
+            if st.qmode and batch is real_covering:
+                # the gpa batch for every open cluster, on the covering scheme's states too
+                assert real_gpa(st, open_) == _gpa_round(st, open_)
             anchors = [c[2] for c in got]
             seen["rounds"] += 1
             seen["shared anchor"] += batch is real_gpa and len(set(anchors)) < len(anchors)
@@ -679,6 +696,22 @@ def test_alpha_acceptable_threshold():
     assert not alpha_acceptable(inst, partial, 0, 0, 1, alpha=1.0)
     assert alpha_acceptable(inst, partial, 0, 0, 2, alpha=0.6)
     assert not alpha_acceptable(inst, partial, 0, 0, 0, alpha=1.0)
+
+
+@pytest.mark.parametrize("cluster_id", [-1, 2])
+@pytest.mark.parametrize("call", [
+    lambda inst, j: available_elements(inst, [(), ()], j),
+    lambda inst, j: is_saturated(inst, [(), ()], j),
+    lambda inst, j: pair_gain_dispersion(inst, [(), ()], j, 5, 6),
+    lambda inst, j: pair_gain_combined(inst, [(), ()], j, 5, 6),
+    lambda inst, j: alpha_acceptable(inst, [(), ()], j, 5, 6, alpha=1.0),
+], ids=["available_elements", "is_saturated", "pair_gain_dispersion", "pair_gain_combined",
+        "alpha_acceptable"])
+def test_cluster_id_out_of_range_raises(call, cluster_id):
+    # a negative id read the last cluster before the check
+    inst = points_instance(np.arange(8.0), [((0, 1, 2, 3), 2), ((4, 5, 6, 7), 2)])
+    with pytest.raises(IndexError, match=rf"cluster id {cluster_id} out of range \[0, 2\)"):
+        call(inst, cluster_id)
 
 
 def test_gelms_zero_quality_first_pick_is_smallest_id():
@@ -884,3 +917,6 @@ def test_invalid_config_rejected():
         solve_gpa(inst, SolverConfig(algorithm=Algorithm.GPA, alpha=0.0))
     with pytest.raises(ValueError):
         solve_gelms(inst, SolverConfig(algorithm=Algorithm.GELMS, cluster_order=[0, 0]))
+    with pytest.raises(ValueError, match="max_ls_iters"):
+        solve_lsi(inst, SolverConfig(algorithm=Algorithm.LSI, max_ls_iters=-5))
+    assert solve_lsi(inst, SolverConfig(algorithm=Algorithm.LSI, max_ls_iters=0))[1].events == []
