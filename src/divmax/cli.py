@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: gen, validate, solve, oracle, experiment, bench. Exit codes:
-0 success, 2 validation or schema failure, 3 oracle limit exceeded.
+0 success, 2 validation, schema or option failure, 3 oracle limit exceeded.
 """
 
 from __future__ import annotations
@@ -48,6 +48,21 @@ def _config_from_args(args, algorithm: str) -> solvers.SolverConfig:
         odd_policy=(None if args.odd_policy is None
                     else solvers.OddPolicy(args.odd_policy)),
     )
+
+
+def _checked(configs, m=None, runs=1) -> bool:
+    """Whether runs >= 1 and every config passes solvers.check_config
+    (cluster_order against m clusters); the first failure is printed to
+    stderr."""
+    try:
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        for cfg in configs:
+            solvers.check_config(cfg, m)
+    except ValueError as exc:
+        print(f"invalid option: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_checked(path: str, out=None, lam=None):
@@ -106,6 +121,8 @@ def _cmd_solve(args) -> int:
     if instance is None:
         return 2
     cfg = _config_from_args(args, args.algorithm)
+    if not _checked([cfg], instance.m):
+        return 2
     solution, trace = solvers.solve(instance, cfg)
     val = objective.combined_objective(instance, solution)
     print(f"{args.algorithm}: quality={val.quality:.6g} "
@@ -146,6 +163,8 @@ def _cmd_experiment(args) -> int:
         configs.append(solvers.SolverConfig(
             algorithm=solvers.Algorithm(name), alpha=args.alpha,
             seed=args.seed, enhanced=args.enhanced))
+    if not _checked(configs, runs=args.runs):
+        return 2
     spec = harness.ExperimentSpec(
         instance=instance, algorithms=configs, runs=args.runs,
         vary=args.vary)
@@ -166,6 +185,8 @@ def _cmd_bench(args) -> int:
     cfg = solvers.SolverConfig(
         algorithm=solvers.Algorithm(args.algorithm), alpha=args.alpha,
         enhanced=args.enhanced)
+    if not _checked([cfg]):
+        return 2
     points = harness.bench_scaling(spec, _parse_ints(args.sizes), cfg,
                                    repeats=args.repeats)
     for p in points:

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import statistics
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +241,15 @@ class ExperimentRow:
     combined: float
     normalized: float
     wall_time_s: float
-    fills: list
+    fills: list  # one fill_<j> column per cluster
+
+    @classmethod
+    def columns(cls) -> dict:
+        """The CSV columns before the fills: every other field's name and
+        type, in field order. A float is written with 17 significant digits,
+        and each type parses its column back."""
+        hints = typing.get_type_hints(cls)
+        return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name != "fills"}
 
 
 @dataclass
@@ -261,40 +270,25 @@ class ExperimentReport:
     def to_csv(self, path: str) -> None:
         if not self.rows:
             raise ValueError("empty report")
-        m = len(self.rows[0].fills)
-        header = ["label", "algorithm", "run", "alpha", "seed", "quality",
-                  "dispersion", "combined", "normalized", "wall_time_s"]
-        header += [f"fill_{j}" for j in range(m)]
+        cols = ExperimentRow.columns()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
+            w.writerow([*cols, *(f"fill_{j}" for j in range(len(self.rows[0].fills)))])
             for r in self.rows:
-                row = [r.label, r.algorithm, r.run, f"{r.alpha:.17g}", r.seed,
-                       f"{r.quality:.17g}", f"{r.dispersion:.17g}",
-                       f"{r.combined:.17g}", f"{r.normalized:.17g}",
-                       f"{r.wall_time_s:.17g}"]
-                row += [str(f) for f in r.fills]
-                w.writerow(row)
+                w.writerow([f"{getattr(r, c):.17g}" if t is float else getattr(r, c)
+                            for c, t in cols.items()] + list(r.fills))
 
     @staticmethod
     def from_csv(path: str) -> "ExperimentReport":
-        rows = []
+        cols = ExperimentRow.columns()
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            fill_cols = [c for c in reader.fieldnames if c.startswith("fill_")]
-            fill_cols.sort(key=lambda c: int(c.split("_")[1]))
-            for rec in reader:
-                rows.append(ExperimentRow(
-                    label=rec["label"], algorithm=rec["algorithm"],
-                    run=int(rec["run"]), alpha=float(rec["alpha"]),
-                    seed=int(rec["seed"]), quality=float(rec["quality"]),
-                    dispersion=float(rec["dispersion"]),
-                    combined=float(rec["combined"]),
-                    normalized=float(rec["normalized"]),
-                    wall_time_s=float(rec["wall_time_s"]),
-                    fills=[int(rec[c]) for c in fill_cols],
-                ))
-        return ExperimentReport(rows)
+            fill_cols = sorted((c for c in reader.fieldnames if c.startswith("fill_")),
+                               key=lambda c: int(c.split("_")[1]))
+            return ExperimentReport([
+                ExperimentRow(**{c: t(rec[c]) for c, t in cols.items()},
+                              fills=[int(rec[c]) for c in fill_cols])
+                for rec in reader])
 
 
 def _config_label(cfg: solvers.SolverConfig) -> str:

@@ -390,14 +390,20 @@ def available_elements(instance: Instance, partial, cluster_id: int) -> list:
     return ids[load[cells[ids]] == 0].tolist()
 
 
+def even_budget(budget, up: bool = True):
+    """The budget rounded to an even number, up (b') or down: the one
+    even-budget rule of the pair solvers. Works elementwise on int arrays."""
+    return budget + budget % 2 if up else budget - budget % 2
+
+
 def is_saturated(instance: Instance, partial, cluster_id: int,
                  pair_mode: bool = False) -> bool:
     """Whether a cluster can take no further addition.
 
     Element mode: saturated when the budget is reached or no member is
     available. Pair mode: saturated when fewer than two slots remain against
-    the even-rounded budget 2*floor(b/2), or the available members span
-    fewer than two partition cells.
+    the budget rounded down to even, or the available members span fewer
+    than two partition cells.
     """
     avail = available_elements(instance, partial, cluster_id)  # checks cluster_id
     c = instance.clusters[cluster_id]
@@ -405,7 +411,7 @@ def is_saturated(instance: Instance, partial, cluster_id: int,
     if not pair_mode:
         return size >= c.budget or not avail
     cells = instance.cell_of()
-    return 2 * (c.budget // 2) - size < 2 or len({int(cells[v]) for v in avail}) < 2
+    return even_budget(c.budget, up=False) - size < 2 or len({int(cells[v]) for v in avail}) < 2
 
 
 def min_coverage_filter(instance: Instance, t: int | None) -> Instance:

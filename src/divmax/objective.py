@@ -7,14 +7,13 @@ quality(union) + lambda * sum of per-cluster dispersions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import geometry, quality as qual
-from .model import Instance, Solution, available_elements, _selected_sets
+from .model import Instance, Solution, available_elements, even_budget, _selected_sets
 
 
 @dataclass
@@ -99,26 +98,29 @@ def _require_feasible_pair(instance: Instance, partial, cluster_id: int,
             f"elements {u} and {v} share partition cell {int(cells[u])}")
 
 
+def pair_score(marginal, lam: float, weight, dist):
+    """Score of candidate pairs: marginal + lam * (weight - 1) * dist.
+
+    marginal is the pair's joint quality marginal and weight the pair weight
+    of the receiving cluster: its budget b rounded up to even, b', with a
+    quality function, and b itself with dispersion alone, which scores as
+    pair_score(0.0, 1.0, b, dist). Works elementwise on arrays; the product
+    is formed as (lam * (weight - 1)) * dist.
+    """
+    return marginal + lam * (weight - 1) * dist
+
+
 def pair_gain_dispersion(instance: Instance, partial, cluster_id: int,
                          u: int, v: int) -> float:
-    """Greedy pair weight (b_j - 1) * d(u, v) for a feasible pair.
+    """Greedy pair weight (b_j - 1) * d(u, v) for a feasible pair, as
+    pair_score(0.0, 1.0, b_j, d(u, v)).
 
     Raises ValueError when {u, v} cannot be added to the cluster under the
     partial solution (unavailable element, shared cell, or u == v).
     """
     _require_feasible_pair(instance, partial, cluster_id, u, v)
-    b = instance.clusters[cluster_id].budget
-    return (b - 1) * instance.oracle().distance(u, v)
-
-
-def pair_score(marginal, lam: float, weight, dist):
-    """Quality-mode score of candidate pairs: marginal + lam * (weight - 1) * dist.
-
-    marginal is the pair's joint quality marginal and weight the even-rounded
-    budget b' of the receiving cluster. Works elementwise on arrays; the
-    product is formed as (lam * (weight - 1)) * dist.
-    """
-    return marginal + lam * (weight - 1) * dist
+    return pair_score(0.0, 1.0, instance.clusters[cluster_id].budget,
+                      instance.oracle().distance(u, v))
 
 
 def pair_gain_combined(instance: Instance, partial, cluster_id: int,
@@ -129,9 +131,10 @@ def pair_gain_combined(instance: Instance, partial, cluster_id: int,
 
     Equals pair_score(joint quality marginal of {u, v} over the current
     union, lambda, b', d(u, v)) = marginal + lambda * (b' - 1) * d(u, v) with
-    b' = 2 * ceil(b_j / 2): the score the pair-based solvers maximize. With
-    zero quality it equals pair_gain_dispersion for even budgets. Validation
-    matches pair_gain_dispersion.
+    b' = model.even_budget(b_j), b_j rounded up to even: the score the
+    pair-based solvers maximize, bit for bit. With zero quality and lambda 1
+    it equals pair_gain_dispersion for even budgets. Validation matches
+    pair_gain_dispersion.
     """
     _require_feasible_pair(instance, partial, cluster_id, u, v)
     if q is None:
@@ -140,9 +143,9 @@ def pair_gain_combined(instance: Instance, partial, cluster_id: int,
         lam = instance.lam
     sets = _selected_sets(partial, instance.m)
     union = set().union(*sets) if sets else set()
-    mp = qual.marginal_pair(q, union, u, v)
-    bprime = 2 * math.ceil(instance.clusters[cluster_id].budget / 2)
-    return pair_score(mp, lam, bprime, instance.oracle().distance(u, v))
+    return pair_score(qual.marginal_pair(q, union, u, v), lam,
+                      even_budget(instance.clusters[cluster_id].budget),
+                      instance.oracle().distance(u, v))
 
 
 def removal_measure(instance: Instance, ordered_selection: Sequence,

@@ -152,12 +152,17 @@ def marginal(q: QualityFunction, selected: Iterable[int], v: int) -> float:
 def marginal_pair(q: QualityFunction, selected: Iterable[int], u: int, v: int) -> float:
     """Joint marginal gain of adding the pair {u, v} to the selected set.
 
-    Equals value(selected | {u, v}) - value(selected). Raises ValueError when
-    u == v because a pair must consist of two distinct elements.
+    Equals value(selected | {u, v}) - value(selected), computed directly:
+    for modular quality the weights of {u, v} minus the selected set, summed
+    from 0, which gives the solvers' w_u + w_v bit for bit. Raises
+    ValueError when u == v because a pair must consist of two distinct
+    elements.
     """
     if u == v:
         raise ValueError("marginal_pair needs two distinct elements")
     ids = set(int(w) for w in selected)
+    if q.kind == "modular":
+        return float(sum(q.weights[w] for w in {u, v} - ids))
     return value(q, ids | {u, v}) - value(q, ids)
 
 
@@ -192,10 +197,9 @@ class QualityState:
     round-up removal step and local search.
 
     Joint pair marginals have one kernel, marginal_pairs(us, vs): one
-    _shared call for any number of us against any number of vs.
-    marginal_pair is its one-row form, and marginal_block its square form
-    with the marginals read through marginal_vec. Coverage marginals are
-    integers, so every form is exact.
+    _shared call for any number of us against any number of vs; gp's square
+    block is marginal_pairs(ids, ids). marginal_pair is its one-row form.
+    Coverage marginals are integers, so both forms are exact.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -314,15 +318,3 @@ class QualityState:
         if (vs == u).any():
             raise ValueError("marginal_pair needs two distinct elements")
         return self.marginal_pairs(np.array([u]), vs)[0]
-
-    def marginal_block(self, ids: np.ndarray) -> np.ndarray:
-        """Joint marginal gains of every pair of ids: marginal_pairs(ids, ids).
-
-        The marginals are read once, through marginal_vec; the diagonal
-        carries no meaning.
-        """
-        m = self.marginal_vec(ids)
-        block = m[:, None] + m[None, :]
-        if self.q.kind == "coverage":
-            block -= self._shared(ids, ids, 0)
-        return block

@@ -14,11 +14,13 @@ already taken (model.available_elements applies the same rule to a partial
 solution).
 
 Pair-based solvers score a candidate pair {u, v} for cluster j with
-(b_j - 1) * d(u, v) on dispersion-only instances. When a quality function is
-present the score is objective.pair_score: the joint quality marginal of the
-pair over the current union plus lambda * (b'_j - 1) * d(u, v) with
-b'_j = 2 * ceil(b_j / 2), which keeps quality and once-counted dispersion on
-the same scale. objective.pair_gain_combined returns the same score.
+objective.pair_score, the one pair score. On dispersion-only instances it is
+(b_j - 1) * d(u, v), applied after the argmax. When a quality function is
+present it is the joint quality marginal of the pair over the current union
+(QualityState.marginal_pairs) plus lambda * (b'_j - 1) * d(u, v), with b'_j
+the budget rounded up to even (model.even_budget), which keeps quality and
+once-counted dispersion on the same scale. objective.pair_gain_dispersion
+and objective.pair_gain_combined return the recorded gains bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from itertools import combinations, count
 import numpy as np
 
 from . import objective, quality as qual
-from .model import Instance, Solution, _check_cluster, _selected_sets, is_feasible
+from .model import (Instance, Solution, _check_cluster, _selected_sets, even_budget,
+                    is_feasible)
 
 DEFAULT_ORACLE_LIMIT = 10_000_000
 
@@ -87,15 +90,18 @@ class SolveTrace:
     init: tuple | None = None  # starting selection for local search
 
 
-def _norm_config(config: SolverConfig | None, algorithm: Algorithm) -> SolverConfig:
-    if config is None:
-        config = SolverConfig(algorithm=algorithm)
+def check_config(config: SolverConfig, m: int | None = None) -> SolverConfig:
+    """config, once its fields are checked; ValueError names the first field
+    that no solve accepts. Given the cluster count m, a nonempty
+    cluster_order must also be a permutation of 0..m-1."""
     if not 0.0 < config.alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {config.alpha!r}")
-    if config.epsilon < 0:
+    if not config.epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {config.epsilon!r}")
     if config.max_ls_iters is not None and config.max_ls_iters < 0:
         raise ValueError(f"max_ls_iters must be >= 0, got {config.max_ls_iters!r}")
+    if m is not None and config.cluster_order:
+        _check_order(config.cluster_order, m)
     return config
 
 
@@ -115,7 +121,7 @@ class _State:
     seeds the selection (per-cluster collections) without trace events; q
     overrides the tracked quality function. qmode says whether that function
     is nonzero, and weights[j] is cluster j's pair weight: b_j without a
-    quality function, b'_j = 2 * ceil(b_j / 2) with one.
+    quality function, b'_j = even_budget(b_j) with one.
 
     sums(j)[i] is the sum of distances from S_j to members[j][i]. The first
     sums call builds them for every cluster from the current selection, and
@@ -147,7 +153,7 @@ class _State:
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
         self.qmode = self.qstate.q.kind != "zero"
-        self.weights = self.budgets + self.budgets % 2 if self.qmode else self.budgets
+        self.weights = even_budget(self.budgets) if self.qmode else self.budgets
         self.events = []
         self.algorithm = algorithm
         self.init = start
@@ -257,12 +263,6 @@ class _State:
         return solution, SolveTrace(self.algorithm, self.events, init=self.init)
 
 
-def _loop_budgets(budgets: np.ndarray, policy: OddPolicy) -> np.ndarray:
-    if policy == OddPolicy.ROUNDUP_REMOVE:
-        return budgets + (budgets % 2)
-    return budgets - (budgets % 2)
-
-
 def _default_policy(instance: Instance, config: SolverConfig) -> OddPolicy:
     if config.odd_policy is not None:
         return OddPolicy(config.odd_policy)
@@ -300,7 +300,7 @@ def _best_pair(st: _State, j: int) -> tuple:
     cells = st.cells[ids]
     same = cells[:, None] == cells[None, :]
     if not st.qmode:
-        # raw distances, scaled after the argmax: a zero weight must not tie
+        # raw distances, scored after the argmax: a zero weight must not tie
         D[same] = -np.inf
         best = None
         for a in range(k):
@@ -309,8 +309,9 @@ def _best_pair(st: _State, j: int) -> tuple:
                 d = Da[bb]
                 if best is None or d > best[0]:
                     best = (d, a, bb)
-        return (weight - 1) * float(best[0]), j, int(ids[best[1]]), int(ids[best[2]])
-    g = objective.pair_score(st.qstate.marginal_block(ids), st.lam, weight, D)
+        gain = objective.pair_score(0.0, 1.0, weight, float(best[0]))
+        return gain, j, int(ids[best[1]]), int(ids[best[2]])
+    g = objective.pair_score(st.qstate.marginal_pairs(ids, ids), st.lam, weight, D)
     g[same | np.tri(k, dtype=bool)] = -np.inf
     a, b = divmod(int(np.argmax(g)), k)
     return float(g[a, b]), j, int(ids[a]), int(ids[b])
@@ -408,7 +409,7 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
     _gpa_batch's steps, _anchors and _best_partners.
     """
     policy = _default_policy(st.inst, config)
-    loopb = _loop_budgets(st.budgets, policy).tolist()
+    loopb = even_budget(st.budgets, up=policy == OddPolicy.ROUNDUP_REMOVE).tolist()
     open_ = range(st.m)
     while True:
         # room and a pair across cells only get lost, so closed stays closed
@@ -475,7 +476,7 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
     Returns (Solution, SolveTrace).
     """
-    cfg = _norm_config(config, Algorithm.GP)
+    cfg = check_config(config or SolverConfig(algorithm=Algorithm.GP))
     propose = _lazy_round(lambda st, js: [_best_pair(st, j) for j in js], bound=True)
     return _greedy_pairs(_State(instance, "gp"), cfg, propose)
 
@@ -493,7 +494,7 @@ def _gpa_candidate(st: _State, j: int, alpha: float) -> tuple:
     rows = st.oracle.row(x, pool)
     sums[rows < alpha * float(rows.max())] = -np.inf  # only near partners compete
     k = int(sums.argmax())
-    return (int(st.weights[j]) - 1) * float(rows[k]), j, x, int(pool[k])
+    return objective.pair_score(0.0, 1.0, int(st.weights[j]), float(rows[k])), j, x, int(pool[k])
 
 
 def _first_max(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -548,7 +549,7 @@ def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray
     pair weight it gets), first of equals. The reads are one row(xs[s], run
     s) per anchor, as a per-anchor loop makes, and with a quality function
     one marginal_pairs(xs, union) for pair_score; without one the farthest
-    partner wins, scaled by (weight - 1) after the argmax so that a zero
+    partner wins, scored by pair_score after the argmax so that a zero
     weight does not tie.
     """
     sizes, starts = _runs(seg, len(xs))
@@ -557,7 +558,7 @@ def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray
     weights = st.weights[homes]
     if not st.qmode:
         b = _first_max(dist, seg, starts)
-        return (weights[b] - 1) * dist[b], b
+        return objective.pair_score(0.0, 1.0, weights[b], dist[b]), b
     union = _distinct(pool)
     marg = st.qstate.marginal_pairs(xs, union)[seg, np.searchsorted(union, pool)]
     score = objective.pair_score(marg, st.lam, weights, dist)
@@ -649,7 +650,7 @@ def solve_gpa(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
     Returns (Solution, SolveTrace).
     """
-    cfg = _norm_config(config, Algorithm.GPA)
+    cfg = check_config(config or SolverConfig(algorithm=Algorithm.GPA))
     st = _State(instance, "gpa")
     if cfg.enhanced:
         propose = _enhanced_candidates
@@ -686,7 +687,7 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
 
     Returns (Solution, SolveTrace).
     """
-    cfg = _norm_config(config, Algorithm.GELMS)
+    cfg = check_config(config or SolverConfig(algorithm=Algorithm.GELMS))
     st = _State(instance, "gelms")
 
     def pick(j, ids, free):
@@ -718,7 +719,7 @@ def solve_mc(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
     Returns (Solution, SolveTrace).
     """
-    _norm_config(config, Algorithm.MC)
+    check_config(config or SolverConfig(algorithm=Algorithm.MC))
     st = _State(instance, "mc")
     propose = _lazy_round(lambda st, js: [_best_single(st, j) for j in js], bound=True)
     open_ = range(st.m)
@@ -738,7 +739,7 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
     Returns (Solution, SolveTrace).
     """
-    cfg = _norm_config(config, Algorithm.RN)
+    cfg = check_config(config or SolverConfig(algorithm=Algorithm.RN))
     st = _State(instance, "rn")
     rng = np.random.default_rng(cfg.seed)
     return _fill(st, cfg, lambda: rng.permutation(st.m).tolist(),
@@ -748,7 +749,7 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
 def _local_search(instance: Instance, config: SolverConfig | None,
                   init: Solution | None, use_combined: bool) -> tuple:
     algorithm = Algorithm.LSI if use_combined else Algorithm.LSG
-    cfg = _norm_config(config, algorithm)
+    cfg = check_config(config or SolverConfig(algorithm=algorithm))
     if init is None:
         init, _ = solve_rn(instance, dataclasses.replace(cfg, algorithm=Algorithm.RN))
     else:
@@ -841,8 +842,7 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     marginal in the cluster, and the pair score of (x, y) beyond x's marginal
     is at least alpha times the best such margin over partners of x.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    check_config(SolverConfig(alpha=alpha))
     _check_cluster(instance, cluster_id)
     st = _State(instance, "alpha", q, start=_selected_sets(partial, instance.m))
     if lam is None:
@@ -856,8 +856,7 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     marg_x = st.qstate.marginal(x)
     if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
-    b = st.budgets[cluster_id]
-    w = b + b % 2
+    w = even_budget(st.budgets[cluster_id])
     margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w,
                                   st.oracle.row(x, partners)) - marg_x
     return bool(margin[partners == y][0] >= alpha * margin.max())

@@ -121,6 +121,31 @@ def test_lambda_override_is_validated(tmp_path, capsys, command, lam):
     assert "schema at lambda: lambda must be >= 0" in capsys.readouterr().err
 
 
+BAD_OPTIONS = [
+    ("alpha", ["solve", "--algorithm", "gp", "--alpha", "2"]),
+    ("epsilon", ["solve", "--algorithm", "gp", "--epsilon", "-1"]),
+    ("epsilon", ["solve", "--algorithm", "lsi", "--epsilon", "nan"]),
+    ("cluster_order", ["solve", "--algorithm", "gelms", "--cluster-order", "0,0,1"]),
+    ("alpha", ["experiment", "--alpha", "2"]),
+    ("runs", ["experiment", "--runs", "0", "-o", "out.csv"]),
+    ("runs", ["experiment", "--runs", "-3"]),
+    ("alpha", ["bench", "--sizes", "30", "--alpha", "2"]),
+]
+
+
+@pytest.mark.parametrize("field, argv", BAD_OPTIONS, ids=case_ids(BAD_OPTIONS))
+def test_bad_options_exit_2_before_solving(tmp_path, capsys, monkeypatch, field, argv):
+    inst = gen_instance(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    extra = [] if argv[0] == "bench" else ["--instance", str(inst)]
+    assert main([argv[0], *extra, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid option: {field} must be")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_solve_gpa_flags(tmp_path):
     inst = gen_instance(tmp_path)
     out = tmp_path / "sol.json"

@@ -87,22 +87,33 @@ def test_gp_quality_mode_fills_both_clusters_where_mc_stalls():
     assert is_feasible(inst, gp_sol) == []
 
 
-def test_first_pair_gain_is_pair_gain_combined():
-    """gp and gpa record the public pair score of the pair they add first."""
+def test_every_pair_gain_is_pair_gain_combined():
+    """gp, gpa and enhanced gpa record, at every pair they add, the public
+    pair score of that pair over the selection before it, bit for bit:
+    pair_gain_combined with a quality function, pair_gain_dispersion
+    without one."""
     rng = np.random.default_rng(4)
     base = gen_random(GenSpec(family="random", n=40, m=4, budgets=[3, 4, 5, 2],
                               overlap=2, seed=6))
     covers = [rng.choice(60, size=4, replace=False).tolist() for _ in range(40)]
-    inst = Instance(n=40, feature_kind="vector", features=base.features,
-                    clusters=base.clusters, metric="euclidean", lam=0.7,
-                    quality=QualityFunction.coverage(covers))
-    empty = [set() for _ in range(inst.m)]
-    for config in (SolverConfig(algorithm=Algorithm.GP),
-                   SolverConfig(algorithm=Algorithm.GPA, alpha=1.0)):
+    qualities = [QualityFunction.zero(), QualityFunction.modular(rng.random(40) * 3),
+                 QualityFunction.coverage(covers)]
+    cells = rng.integers(0, 18, size=40).tolist()
+    configs = [SolverConfig(algorithm=Algorithm.GP),
+               SolverConfig(algorithm=Algorithm.GPA, alpha=0.9),
+               SolverConfig(algorithm=Algorithm.GPA, enhanced=True)]
+    for q, config in product(qualities, configs):
+        inst = Instance(n=40, feature_kind="vector", features=base.features,
+                        clusters=base.clusters, metric="euclidean", lam=0.7,
+                        partition=cells, quality=q)
+        gain = pair_gain_dispersion if q.kind == "zero" else pair_gain_combined
         _, trace = solve(inst, config)
-        e = trace.events[0]
-        assert e.kind == "pair"
-        assert e.gain == pair_gain_combined(inst, empty, e.cluster, *e.elements)
+        sets = [set() for _ in range(inst.m)]
+        pairs = [e for e in trace.events if e.kind == "pair"]
+        assert len(pairs) >= 4
+        for e in pairs:
+            assert e.gain == gain(inst, sets, e.cluster, *e.elements), (q.kind, config, e)
+            sets[e.cluster].update(e.elements)
 
 
 def test_no_pair_from_a_single_free_cell():
@@ -919,4 +930,6 @@ def test_invalid_config_rejected():
         solve_gelms(inst, SolverConfig(algorithm=Algorithm.GELMS, cluster_order=[0, 0]))
     with pytest.raises(ValueError, match="max_ls_iters"):
         solve_lsi(inst, SolverConfig(algorithm=Algorithm.LSI, max_ls_iters=-5))
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_lsi(inst, SolverConfig(algorithm=Algorithm.LSI, epsilon=float("nan")))
     assert solve_lsi(inst, SolverConfig(algorithm=Algorithm.LSI, max_ls_iters=0))[1].events == []

@@ -35,7 +35,7 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     names = {tracer.names[i] for i in tracer.name}
-    assert {"solvers.solve", "geometry.pairwise", "quality.state_marginal_vec",
+    assert {"solvers.solve", "geometry.pairwise", "quality.state_add",
             "quality.state_remove"} <= names
     assert _attrs(tr.TARGETS) == before
     assert solvers.solve(inst, SolverConfig(algorithm="gp"))[0] == traced
