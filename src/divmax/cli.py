@@ -50,19 +50,30 @@ def _config_from_args(args, algorithm: str) -> solvers.SolverConfig:
     )
 
 
-def _checked(configs, m=None, runs=1) -> bool:
-    """Whether runs >= 1 and every config passes solvers.check_config
-    (cluster_order against m clusters); the first failure is printed to
+def _algorithm(name: str) -> solvers.Algorithm:
+    try:
+        return solvers.Algorithm(name)
+    except ValueError:
+        names = ", ".join(a.value for a in solvers.Algorithm)
+        raise ValueError(f"algorithm must be one of {names}, got {name!r}") from None
+
+
+def _checked(build, m=None, **counts):
+    """The configs that build() returns, once every count (runs, repeats)
+    is >= 1 and every config passes solvers.check_config (cluster_order
+    against m clusters); None once the first failure is printed to
     stderr."""
     try:
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
+        for name, k in counts.items():
+            if k < 1:
+                raise ValueError(f"{name} must be >= 1, got {k}")
+        configs = build()
         for cfg in configs:
             solvers.check_config(cfg, m)
     except ValueError as exc:
         print(f"invalid option: {exc}", file=sys.stderr)
-        return False
-    return True
+        return None
+    return configs
 
 
 def _load_checked(path: str, out=None, lam=None):
@@ -120,10 +131,10 @@ def _cmd_solve(args) -> int:
     instance = _load_checked(args.instance, lam=args.lam)
     if instance is None:
         return 2
-    cfg = _config_from_args(args, args.algorithm)
-    if not _checked([cfg], instance.m):
+    configs = _checked(lambda: [_config_from_args(args, args.algorithm)], instance.m)
+    if configs is None:
         return 2
-    solution, trace = solvers.solve(instance, cfg)
+    solution, trace = solvers.solve(instance, configs[0])
     val = objective.combined_objective(instance, solution)
     print(f"{args.algorithm}: quality={val.quality:.6g} "
           f"dispersion={val.dispersion:.6g} combined={val.combined:.6g}")
@@ -157,13 +168,11 @@ def _cmd_experiment(args) -> int:
     instance = _load_checked(args.instance)
     if instance is None:
         return 2
-    configs = []
-    for name in args.algorithms.split(","):
-        name = name.strip()
-        configs.append(solvers.SolverConfig(
-            algorithm=solvers.Algorithm(name), alpha=args.alpha,
-            seed=args.seed, enhanced=args.enhanced))
-    if not _checked(configs, runs=args.runs):
+    configs = _checked(lambda: [
+        solvers.SolverConfig(algorithm=_algorithm(name.strip()), alpha=args.alpha,
+                             seed=args.seed, enhanced=args.enhanced)
+        for name in args.algorithms.split(",")], runs=args.runs)
+    if configs is None:
         return 2
     spec = harness.ExperimentSpec(
         instance=instance, algorithms=configs, runs=args.runs,
@@ -182,12 +191,12 @@ def _cmd_bench(args) -> int:
         family=args.family, dim=args.dim, m=args.m,
         budgets=_parse_budgets(args.budgets), overlap=args.overlap,
         seed=args.seed)
-    cfg = solvers.SolverConfig(
-        algorithm=solvers.Algorithm(args.algorithm), alpha=args.alpha,
-        enhanced=args.enhanced)
-    if not _checked([cfg]):
+    configs = _checked(lambda: [solvers.SolverConfig(
+        algorithm=_algorithm(args.algorithm), alpha=args.alpha,
+        enhanced=args.enhanced)], repeats=args.repeats)
+    if configs is None:
         return 2
-    points = harness.bench_scaling(spec, _parse_ints(args.sizes), cfg,
+    points = harness.bench_scaling(spec, _parse_ints(args.sizes), configs[0],
                                    repeats=args.repeats)
     for p in points:
         ratio = "" if p.ratio is None else f" ratio={p.ratio:.2f}"

@@ -25,8 +25,37 @@ COSINE_NORM_TOL = 1e-6
 HOT_ITEMS = 100
 
 # Rows per step of the Jaccard cache build; its temporaries are a few
-# (256, n) blocks instead of several (n, n) ones.
+# (256, n) blocks instead of several (n, n) ones. The uncached euclidean
+# rows kernel steps through blocks of CHUNK_ROWS * 64 entries (128 KiB), so
+# its dozen temporaries stay in a core's L2 cache.
 CHUNK_ROWS = 256
+
+
+def _pairwise_sum(term, lo: int, n: int):
+    """term(lo) + ... + term(lo + n - 1), n >= 1, added in the order of
+    numpy's add.reduce along a contiguous axis (its pairwise sum): one
+    after another below 8 terms; up to 128 terms, eight interleaved partial
+    sums, combined as a tree, then the terms left over past the last
+    multiple of 8; above 128, the two halves, split at a multiple of 8,
+    each summed so. term returns a new array, which may be summed into.
+    """
+    if n < 8:
+        res = term(lo)
+        for c in range(lo + 1, lo + n):
+            res += term(c)
+        return res
+    if n <= 128:
+        r = [term(lo + i) for i in range(8)]
+        end = lo + n - n % 8
+        for c in range(lo + 8, end, 8):
+            for i in range(8):
+                r[i] += term(c + i)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(end, lo + n):
+            res += term(c)
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
 def _jaccard_from_counts(inter: np.ndarray, size_a, size_b) -> np.ndarray:
@@ -62,15 +91,18 @@ class DistanceOracle:
     threads after construction.
 
     Within one oracle, d(u, v) has one value in every read: in any block
-    and in either direction. Above cache_limit, row is the one kernel of
-    each metric, and each of its entries depends only on its own two
-    elements. rows(us, ids) is its block form: a new C-contiguous
-    (len(us), len(ids)) array whose row i equals row(us[i], ids) bit for
-    bit, zero where ids == us[i] included, so its row sums equal the sums of
-    the single rows too. pairwise(ids) is rows(ids, ids) and distance(u, v)
-    is row(u, [v])[0]. Cached and uncached reads may still differ in the
-    last bit. distance, row, rows and pairwise all raise IndexError for an
-    id outside [0, n).
+    and in either direction. Above cache_limit, each entry of row depends
+    only on its own two elements. rows(us, ids) is its block form: a new
+    C-contiguous (len(us), len(ids)) array whose row i equals row(us[i],
+    ids) bit for bit, zero where ids == us[i] included, so its row sums
+    equal the sums of the single rows too. Euclidean rows has a kernel of
+    its own, which builds the block one feature column at a time and adds
+    the squared differences in the order in which row's reduction adds
+    them; the other metrics stack rows, or read the Jaccard and matrix
+    blocks at once. pairwise(ids) is rows(ids, ids) and distance(u, v) is
+    row(u, [v])[0]. Cached and uncached reads may still differ in the last
+    bit. distance, row, rows and pairwise all raise IndexError for an id
+    outside [0, n); _row reads ids that its caller has checked.
     """
 
     def __init__(self, metric: str, features=None, matrix=None,
@@ -206,16 +238,41 @@ class DistanceOracle:
         elif self.metric == "matrix":
             out = np.array(self._matrix[np.ix_(us, ids)], dtype=float)
         else:
-            # one row per element of the shorter side; d(u, v) reads the
-            # same in a row of u and in one of v
+            # one block row per element of the shorter side; d(u, v) reads
+            # the same in a row of u and in one of v
             flip = ids.size < us.size
             a, b = (ids, us) if flip else (us, ids)
             out = np.empty((a.size, b.size))
-            for i, u in enumerate(a.tolist()):  # every id was checked above
-                out[i] = self._row(u, b)
+            if self.metric == "euclidean":
+                self._euclidean_block(a, b, out)
+            else:
+                for i, u in enumerate(a.tolist()):  # every id was checked above
+                    out[i] = self._row(u, b)
             return np.ascontiguousarray(out.T) if flip else out
         out[us[:, None] == ids[None, :]] = 0.0
         return out
+
+    def _euclidean_block(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """Fill out with the euclidean distances from each id of a (rows) to
+        each id of b, bit for bit as row(a[i], b): the squared differences
+        of one feature column at a time are added in row's order of
+        np.add.reduce (_pairwise_sum), over steps of rows of at most
+        CHUNK_ROWS * 64 entries. x - x is exactly zero, so equal ids read 0.
+        """
+        dim = self._X.shape[1]
+        if not (a.size and dim):  # nothing to read, or every distance is zero
+            out.fill(0.0)
+            return
+        A, B = self._X[a], self._X[b]
+        step = max(1, CHUNK_ROWS * 64 // b.size)  # b is the longer side
+        for lo in range(0, a.size, step):
+            part = A[lo:lo + step]
+
+            def term(c):
+                d = np.subtract.outer(part[:, c], B[:, c])
+                d *= d
+                return d
+            np.sqrt(_pairwise_sum(term, 0, dim), out=out[lo:lo + step])
 
     def pairwise(self, ids) -> np.ndarray:
         """Square block of pairwise distances among ids."""

@@ -100,11 +100,20 @@ class Instance:
         return self._cells
 
     def member_arrays(self) -> list:
-        """Each cluster's members as a read-only int array, built on first call."""
+        """Each cluster's members as a read-only int64 array, built on first
+        call. The ids are range-checked here, once per instance: an id
+        outside [0, n) raises IndexError naming it and its cluster, and
+        solvers read distances over these arrays without checking them
+        again."""
         if self._members is None:
-            self._members = [np.asarray(c.members, dtype=int) for c in self.clusters]
-            for ids in self._members:
+            members = [np.asarray(c.members, dtype=np.int64) for c in self.clusters]
+            for c, ids in zip(self.clusters, members):
+                out = (ids < 0) | (ids >= self.n)
+                if out.any():
+                    raise IndexError(f"cluster {c.id}: element id {ids[out][0]} "
+                                     f"out of range [0, {self.n})")
                 ids.flags.writeable = False
+            self._members = members
         return self._members
 
 

@@ -128,6 +128,13 @@ class _State:
     every later add, remove and swap keeps them exact; a pair adds
     row(u) + row(v) as one term.
 
+    _row(j, v) reads distances from v to members[j] through the oracle's
+    _row, without the per-call id checks: Instance.member_arrays checked
+    every member id once, and v is always a member.
+    It keeps the last row it read per cluster and returns it again for the
+    same v, so the add_pair that takes a zero-quality gpa proposal reuses
+    the anchor row that _gpa_candidate read.
+
     empty_cells()[j] counts cluster j's cells with load zero: j has a free
     member while it is at least 1 and a pair across cells while it is at
     least 2. The first call builds the counts, and every add, remove and swap
@@ -149,6 +156,7 @@ class _State:
         self.member_cells = [self.cells[ids] for ids in self.members]
         self._empty = None  # built by the first empty_cells call
         self.dsum = None  # built by the first sums call
+        self._kept = {}  # j -> (v, row(v, members[j])), the last row read for j
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -194,19 +202,19 @@ class _State:
             self._empty = (self.cell_in & (self.load == 0)).sum(axis=1)
         return self._empty
 
-    def has_pair(self, j: int) -> bool:
-        """Whether cluster j's free members span two cells; adds only turn it false."""
-        return self.empty_cells()[j] >= 2
-
     def sums(self, j: int) -> np.ndarray:
         """Distance sums from S_j to each member of cluster j, aligned with members[j]."""
         if self.dsum is None:
-            self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0)
-                         for S, ids in zip(self.sel, self.members)]
+            # an empty S_j sums to zeros, with no read
+            self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0) if S
+                         else np.zeros(ids.size) for S, ids in zip(self.sel, self.members)]
         return self.dsum[j]
 
     def _row(self, j: int, v: int) -> np.ndarray:
-        return self.oracle.row(v, self.members[j])
+        kept = self._kept.get(j)
+        if kept is None or kept[0] != v:
+            kept = self._kept[j] = (v, self.oracle._row(v, self.members[j]))
+        return kept[1]
 
     def _add(self, j: int, v: int) -> None:
         self.sel[j].add(v)
@@ -412,8 +420,10 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
     loopb = even_budget(st.budgets, up=policy == OddPolicy.ROUNDUP_REMOVE).tolist()
     open_ = range(st.m)
     while True:
-        # room and a pair across cells only get lost, so closed stays closed
-        open_ = [j for j in open_ if len(st.sel[j]) + 2 <= loopb[j] and st.has_pair(j)]
+        # room and a pair across cells (two empty cells) only get lost, so
+        # closed stays closed
+        empty = st.empty_cells().tolist()
+        open_ = [j for j in open_ if len(st.sel[j]) + 2 <= loopb[j] and empty[j] >= 2]
         if not open_:
             break
         g, j, u, v = _pick(propose(st, open_))
@@ -483,18 +493,22 @@ def solve_gp(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
 def _gpa_candidate(st: _State, j: int, alpha: float) -> tuple:
     """gpa's proposal for cluster j without a quality function, as (gain, j,
-    x, y); with one, gpa proposes through _gpa_batch."""
+    x, y); with one, gpa proposes through _gpa_batch.
+
+    The anchor's distances come from st._row(j, x), over all of j's
+    members, which _State keeps: if the proposal wins, add_pair(j, x, y)
+    reads that row again at no cost.
+    """
     free = st.free_mask(j)
-    ids = st.members[j][free]
-    # while S_j is empty every sum is zero and the anchor is ids[0]
-    sums = st.sums(j)[free]
-    x = int(ids[sums.argmax()])
-    other = st.cells[ids] != st.cells[x]
-    pool, sums = ids[other], sums[other]
-    rows = st.oracle.row(x, pool)
-    sums[rows < alpha * float(rows.max())] = -np.inf  # only near partners compete
-    k = int(sums.argmax())
-    return objective.pair_score(0.0, 1.0, int(st.weights[j]), float(rows[k])), j, x, int(pool[k])
+    ids, sums = st.members[j], st.sums(j)
+    # while S_j is empty every sum is zero and the anchor is j's first free member
+    x = int(ids[np.where(free, sums, -np.inf).argmax()])
+    pool = free & (st.member_cells[j] != st.cells[x])
+    rows = st._row(j, x)
+    # only near partners compete; the farthest is one, since alpha <= 1
+    near = pool & (rows >= alpha * float(rows.max(where=pool, initial=-np.inf)))
+    k = int(np.where(near, sums, -np.inf).argmax())
+    return objective.pair_score(0.0, 1.0, int(st.weights[j]), float(rows[k])), j, x, int(ids[k])
 
 
 def _first_max(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -130,6 +130,10 @@ BAD_OPTIONS = [
     ("runs", ["experiment", "--runs", "0", "-o", "out.csv"]),
     ("runs", ["experiment", "--runs", "-3"]),
     ("alpha", ["bench", "--sizes", "30", "--alpha", "2"]),
+    ("algorithm", ["experiment", "--algorithms", "gp,foo", "-o", "out.csv"]),
+    ("algorithm", ["bench", "--sizes", "30", "--algorithm", "foo"]),
+    ("repeats", ["bench", "--sizes", "30", "--repeats", "0"]),
+    ("repeats", ["bench", "--sizes", "30", "--repeats", "-2"]),
 ]
 
 

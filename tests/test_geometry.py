@@ -158,6 +158,27 @@ def test_rows_equal_stacked_rows():
                 oracle.rows(us, ids)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 9, 16, 33, 127, 128, 129, 130, 300])
+def test_euclidean_rows_kernel_equals_stacked_rows(dim):
+    # rows sums one feature column at a time, in the order in which row's
+    # reduction sums a row: one by one below 8 terms, 8 partial sums up to
+    # 128, two halves above; the coordinates span many binades
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(5200, dim)) * 10.0 ** rng.integers(-3, 4, size=(5200, 1))
+    oracle = DistanceOracle("euclidean", features=pts, cache_limit=0)
+    short, long_ = rng.choice(5200, size=8, replace=False), rng.choice(5200, size=5000)
+    both = np.concatenate([short[:3], rng.choice(5200, size=5)])
+    cases = [(short, long_), (long_, short), (short, both), (both, both),
+             (np.repeat(short[:2], 3), short), (short[:0], long_), (long_, short[:0]),
+             (short[:0], short[:0])]
+    for us, ids in cases:
+        got = oracle.rows(us, ids)
+        want = np.array([oracle.row(int(u), ids) for u in us]).reshape(us.size, ids.size)
+        assert got.flags.c_contiguous and np.array_equal(got, want), (us.size, ids.size)
+    block = oracle.rows(both, both)
+    assert not block[both[:, None] == both[None, :]].any()  # an id on both sides reads 0
+
+
 def test_every_read_rejects_out_of_range_ids():
     for oracle in _every_mode(72, 53):
         for bad in (-1, oracle.n):

@@ -241,8 +241,9 @@ def test_state_sums_and_open_check_stay_exact(n):
         for j in range(st.m):
             want = st.oracle.rows(sorted(st.sel[j]), st.members[j]).sum(axis=0)
             np.testing.assert_allclose(st.sums(j), want, rtol=0, atol=1e-12)
-            assert st.has_pair(j) == (np.unique(st.cells[st.free_members(j)]).size >= 2)
-            seen.add(bool(st.has_pair(j)))
+            has_pair = st.empty_cells()[j] >= 2
+            assert has_pair == (np.unique(st.cells[st.free_members(j)]).size >= 2)
+            seen.add(bool(has_pair))
 
     check()
     for step in range(60):
@@ -698,6 +699,61 @@ def test_state_reads_cached_member_arrays():
     for ids, c in zip(a.members, inst.clusters):
         assert ids.tolist() == list(c.members) and not ids.flags.writeable
     assert len(dataclasses.replace(inst, clusters=inst.clusters[:1]).member_arrays()) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("config", [
+    SolverConfig(algorithm=Algorithm.GP), SolverConfig(algorithm=Algorithm.GPA),
+    SolverConfig(algorithm=Algorithm.GPA, enhanced=True), SolverConfig(algorithm=Algorithm.GELMS),
+    SolverConfig(algorithm=Algorithm.MC), SolverConfig(algorithm=Algorithm.RN),
+    SolverConfig(algorithm=Algorithm.LSI), SolverConfig(algorithm=Algorithm.LSG),
+], ids=["gp", "gpa", "gpa-enh", "gelms", "mc", "rn", "lsi", "lsg"])
+def test_out_of_range_member_ids_fail_on_every_solver(config, bad):
+    # not validated (validate_instance reports a schema violation): member_arrays
+    # checks the ids once, for every solver
+    inst = points_instance(range(6), [((bad, 1, 2), 2), ((3, 4, 5), 2)])
+    with pytest.raises(IndexError, match=rf"element id {bad} out of range \[0, 6\)"):
+        solve(inst, config)
+
+
+def test_zero_quality_gpa_reads_one_row_per_new_anchor_and_per_pair(monkeypatch):
+    # uncached, with shared cells so that an add also refreshes other
+    # clusters, and even budgets so that the odd phase reads nothing
+    inst = _overlapping(300, 29, [6, 8, 4, 10], partition=(np.arange(300) % 120).tolist())
+    inst._oracle = DistanceOracle("euclidean", features=inst.features, cache_limit=0)
+    calls = {"rows": 0, "proposals": 0, "anchors": 0, "pairs": 0}
+    last = {}  # j -> the element whose row over j's members was read last
+    real_row, real_candidate = DistanceOracle._row, solvers._gpa_candidate
+    real_add_pair = solvers._State.add_pair
+
+    def row(self, u, ids):
+        calls["rows"] += 1
+        return real_row(self, u, ids)
+
+    def candidate(st, j, alpha):
+        cand = real_candidate(st, j, alpha)
+        calls["proposals"] += 1
+        calls["anchors"] += last.get(j) != cand[2]  # a kept anchor row is not read again
+        last[j] = cand[2]
+        return cand
+
+    def add_pair(self, j, u, v, gain):
+        # the proposal read its anchor u's row, and the pair reads v's alone
+        assert calls["rows"] == calls["anchors"] + calls["pairs"] and last[j] == u
+        real_add_pair(self, j, u, v, gain)
+        last[j] = v
+        calls["pairs"] += 1
+        assert calls["rows"] == calls["anchors"] + calls["pairs"]
+
+    monkeypatch.setattr(DistanceOracle, "_row", row)
+    monkeypatch.setattr(solvers, "_gpa_candidate", candidate)
+    monkeypatch.setattr(solvers._State, "add_pair", add_pair)
+    _, trace = solve(inst, SolverConfig(algorithm=Algorithm.GPA, alpha=0.9))
+    assert {e.kind for e in trace.events} == {"pair"}
+    assert calls["pairs"] == len(trace.events) == 14
+    assert calls["proposals"] > calls["pairs"] + inst.m  # other clusters were refreshed
+    assert calls["proposals"] > calls["anchors"] >= calls["pairs"]  # some kept their anchor
+    assert calls["rows"] == calls["anchors"] + calls["pairs"]
 
 
 def test_alpha_acceptable_threshold():
