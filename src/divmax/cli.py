@@ -15,14 +15,15 @@ from .model import validate_instance
 
 
 def _parse_budgets(text: str):
-    parts = [p for p in text.split(",") if p]
-    if len(parts) == 1:
-        return int(parts[0])
-    return [int(p) for p in parts]
+    parts = _parse_ints(text, "budgets")
+    return parts[0] if len(parts) == 1 else parts
 
 
-def _parse_ints(text: str) -> list:
-    return [int(p) for p in text.split(",") if p]
+def _parse_ints(text: str, name: str = "value") -> list:
+    try:
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated integers, got {text!r}") from None
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -58,22 +59,30 @@ def _algorithm(name: str) -> solvers.Algorithm:
         raise ValueError(f"algorithm must be one of {names}, got {name!r}") from None
 
 
+def _options(build):
+    """What build() returns, or None once the ValueError it raises is
+    printed to stderr as an invalid option."""
+    try:
+        return build()
+    except ValueError as exc:
+        print(f"invalid option: {exc}", file=sys.stderr)
+        return None
+
+
 def _checked(build, m=None, **counts):
     """The configs that build() returns, once every count (runs, repeats)
     is >= 1 and every config passes solvers.check_config (cluster_order
     against m clusters); None once the first failure is printed to
     stderr."""
-    try:
+    def checked():
         for name, k in counts.items():
             if k < 1:
                 raise ValueError(f"{name} must be >= 1, got {k}")
         configs = build()
         for cfg in configs:
             solvers.check_config(cfg, m)
-    except ValueError as exc:
-        print(f"invalid option: {exc}", file=sys.stderr)
-        return None
-    return configs
+        return configs
+    return _options(checked)
 
 
 def _load_checked(path: str, out=None, lam=None):
@@ -97,11 +106,12 @@ def _load_checked(path: str, out=None, lam=None):
 
 
 def _cmd_gen(args) -> int:
-    spec = instgen.GenSpec(
+    spec = _options(lambda: instgen.check_spec(instgen.GenSpec(
         family=args.family, n=args.n, dim=args.dim, m=args.m,
         budgets=_parse_budgets(args.budgets), overlap=args.overlap,
-        spread=args.spread, D=args.D, q=args.q, eps=args.eps, seed=args.seed,
-    )
+        spread=args.spread, D=args.D, q=args.q, eps=args.eps, seed=args.seed)))
+    if spec is None:
+        return 2
     out = instgen.generate(spec)
     if args.family == "tight":
         instance, adv, opt = out
@@ -186,18 +196,30 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _bench_inputs(args) -> tuple:
+    """(spec, sizes) of a bench run, once the spec at every size passes
+    instgen.check_spec."""
     spec = instgen.GenSpec(
         family=args.family, dim=args.dim, m=args.m,
         budgets=_parse_budgets(args.budgets), overlap=args.overlap,
         seed=args.seed)
+    sizes = _parse_ints(args.sizes, "sizes")
+    for n in sizes:
+        instgen.check_spec(dataclasses.replace(spec, n=n))
+    return spec, sizes
+
+
+def _cmd_bench(args) -> int:
+    inputs = _options(lambda: _bench_inputs(args))
+    if inputs is None:
+        return 2
     configs = _checked(lambda: [solvers.SolverConfig(
         algorithm=_algorithm(args.algorithm), alpha=args.alpha,
         enhanced=args.enhanced)], repeats=args.repeats)
     if configs is None:
         return 2
-    points = harness.bench_scaling(spec, _parse_ints(args.sizes), configs[0],
-                                   repeats=args.repeats)
+    spec, sizes = inputs
+    points = harness.bench_scaling(spec, sizes, configs[0], repeats=args.repeats)
     for p in points:
         ratio = "" if p.ratio is None else f" ratio={p.ratio:.2f}"
         print(f"n={p.n} seconds={p.seconds:.4f}{ratio}")

@@ -41,8 +41,37 @@ def _budget_list(spec: GenSpec, m: int) -> list:
         return [int(spec.budgets)] * m
     budgets = [int(b) for b in spec.budgets]
     if len(budgets) != m:
-        raise ValueError(f"need {m} budgets, got {len(budgets)}")
+        raise ValueError(f"budgets must be one value or {m} values, got {len(budgets)}")
     return budgets
+
+
+def check_spec(spec: GenSpec, family: str | None = None) -> GenSpec:
+    """spec, once the parameters that family (spec.family by default) reads
+    are in range; ValueError names the first that is not. random and
+    prototype need n, m and dim >= 1 and nonnegative budgets, one shared or
+    one per cluster; random needs an overlap in [1, m] and prototype a
+    finite spread >= 0; tight needs q >= 2 and a finite eps >= 0. generate
+    and each generator check their spec here first."""
+    family = spec.family if family is None else family
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {', '.join(sorted(_FAMILIES))}, "
+                         f"got {family!r}")
+    if family in ("random", "prototype"):
+        for name in ("n", "m", "dim"):
+            if getattr(spec, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)!r}")
+        if min(_budget_list(spec, spec.m)) < 0:
+            raise ValueError(f"budgets must be >= 0, got {spec.budgets!r}")
+        if family == "random" and not 1 <= spec.overlap <= spec.m:
+            raise ValueError(f"overlap must be in [1, m = {spec.m}], got {spec.overlap!r}")
+        if family == "prototype" and not 0 <= spec.spread < math.inf:
+            raise ValueError(f"spread must be finite and >= 0, got {spec.spread!r}")
+    elif family == "tight":
+        if spec.q < 2:
+            raise ValueError(f"q must be >= 2, got {spec.q!r}")
+        if not 0 <= spec.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {spec.eps!r}")
+    return spec
 
 
 def gen_random(spec: GenSpec) -> Instance:
@@ -52,13 +81,12 @@ def gen_random(spec: GenSpec) -> Instance:
     clusters are topped up with a random element so every cluster is
     non-empty. Euclidean metric, zero quality, lambda 1.
     """
-    if spec.overlap > spec.m:
-        raise ValueError(f"overlap {spec.overlap} exceeds cluster count {spec.m}")
+    check_spec(spec, "random")
     rng = np.random.default_rng(spec.seed)
     pts = rng.random((spec.n, spec.dim))
-    k = max(spec.overlap, 1)
     memberships = [
-        set(rng.choice(spec.m, size=k, replace=False).tolist()) for _ in range(spec.n)
+        set(rng.choice(spec.m, size=spec.overlap, replace=False).tolist())
+        for _ in range(spec.n)
     ]
     members = [[] for _ in range(spec.m)]
     for v, js in enumerate(memberships):
@@ -82,6 +110,7 @@ def gen_prototype(spec: GenSpec) -> Instance:
     to the cluster of its nearest center; as spread shrinks the two coincide
     and the clusters stop overlapping.
     """
+    check_spec(spec, "prototype")
     rng = np.random.default_rng(spec.seed)
     centers = rng.random((spec.m, spec.dim))
     home = rng.integers(0, spec.m, size=spec.n)
@@ -231,9 +260,7 @@ def gen_tight(spec: GenSpec) -> tuple:
     solutions evaluate exactly to tight_reference_values(q, eps) and their
     ratio approaches 6 as q grows and eps vanishes.
     """
-    q = int(spec.q)
-    if q < 2:
-        raise ValueError("tight family needs q >= 2")
+    q = int(check_spec(spec, "tight").q)
     eps = float(spec.eps)
     tight = TightDistances(q, eps)
     n = tight.n
@@ -271,9 +298,6 @@ _FAMILIES = {
 
 
 def generate(spec: GenSpec):
-    """Dispatch on spec.family; tight returns (instance, adv, opt)."""
-    try:
-        fn = _FAMILIES[spec.family]
-    except KeyError:
-        raise ValueError(f"unknown family {spec.family!r}") from None
-    return fn(spec)
+    """Dispatch on spec.family once check_spec passes; tight returns
+    (instance, adv, opt)."""
+    return _FAMILIES[check_spec(spec).family](spec)

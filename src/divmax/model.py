@@ -155,6 +155,19 @@ def _selected_sets(partial, m: int) -> list:
     return sets
 
 
+def _partial_sets(partial, instance: Instance) -> list:
+    """_selected_sets of a partial solution, once its element ids are
+    checked: an id outside [0, n) raises IndexError naming it and its
+    selection."""
+    sets = _selected_sets(partial, instance.m)
+    for j, S in enumerate(sets):
+        bad = [v for v in S if not 0 <= v < instance.n]
+        if bad:
+            raise IndexError(f"selected[{j}]: element id {min(bad)} "
+                             f"out of range [0, {instance.n})")
+    return sets
+
+
 def _check_cluster(instance: Instance, cluster_id: int) -> None:
     if not 0 <= cluster_id < instance.m:
         raise IndexError(f"cluster id {cluster_id} out of range [0, {instance.m})")
@@ -389,10 +402,11 @@ def available_elements(instance: Instance, partial, cluster_id: int) -> list:
 
     An element is available when no selected element occupies its partition
     cell. A selected element occupies its own cell, so it is never
-    available. Returned sorted ascending.
+    available. Returned sorted ascending. An element id of partial outside
+    [0, n) raises IndexError.
     """
     _check_cluster(instance, cluster_id)
-    sets = _selected_sets(partial, instance.m)
+    sets = _partial_sets(partial, instance)
     cells = instance.cell_of()
     load = np.bincount(cells[[v for S in sets for v in S]], minlength=instance.n)
     ids = instance.member_arrays()[cluster_id]

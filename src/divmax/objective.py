@@ -54,16 +54,13 @@ def global_dispersion(oracle: geometry.DistanceOracle, selection) -> float:
     return cluster_dispersion(oracle, ids)
 
 
-def combined_objective(instance: Instance, solution,
-                       q: qual.QualityFunction | None = None) -> ObjectiveValue:
+def combined_objective(instance: Instance, solution) -> ObjectiveValue:
     """Evaluate quality(union) + lambda * intra dispersion of a solution.
 
     Parameters
     ----------
     instance : Instance
     solution : Solution or sequence of per-cluster id collections
-    q : QualityFunction, optional
-        Defaults to the instance's quality function.
 
     Returns
     -------
@@ -71,11 +68,9 @@ def combined_objective(instance: Instance, solution,
     """
     if not isinstance(solution, Solution):
         solution = Solution.from_sets(solution)
-    if q is None:
-        q = instance.quality
     oracle = instance.oracle()
     disp = intra_dispersion(oracle, solution)
-    quality = qual.value(q, solution.union())
+    quality = qual.value(instance.quality, solution.union())
     return ObjectiveValue(
         quality=quality,
         dispersion=disp,
@@ -124,9 +119,7 @@ def pair_gain_dispersion(instance: Instance, partial, cluster_id: int,
 
 
 def pair_gain_combined(instance: Instance, partial, cluster_id: int,
-                       u: int, v: int,
-                       q: qual.QualityFunction | None = None,
-                       lam: float | None = None) -> float:
+                       u: int, v: int) -> float:
     """Combined greedy pair weight for quality + dispersion instances.
 
     Equals pair_score(joint quality marginal of {u, v} over the current
@@ -137,21 +130,15 @@ def pair_gain_combined(instance: Instance, partial, cluster_id: int,
     pair_gain_dispersion.
     """
     _require_feasible_pair(instance, partial, cluster_id, u, v)
-    if q is None:
-        q = instance.quality
-    if lam is None:
-        lam = instance.lam
     sets = _selected_sets(partial, instance.m)
     union = set().union(*sets) if sets else set()
-    return pair_score(qual.marginal_pair(q, union, u, v), lam,
+    return pair_score(qual.marginal_pair(instance.quality, union, u, v), instance.lam,
                       even_budget(instance.clusters[cluster_id].budget),
                       instance.oracle().distance(u, v))
 
 
 def removal_measure(instance: Instance, ordered_selection: Sequence,
-                    element: int,
-                    q: qual.QualityFunction | None = None,
-                    lam: float | None = None) -> float:
+                    element: int, lam: float | None = None) -> float:
     """Contribution measure of one selected element.
 
     ordered_selection is the chronological list of (element, cluster_id)
@@ -161,10 +148,8 @@ def removal_measure(instance: Instance, ordered_selection: Sequence,
 
     Summed over every selected element this equals quality(union) plus
     2 * lambda * intra dispersion, because each intra-cluster pair is seen
-    from both endpoints.
+    from both endpoints. lam overrides the instance's lambda.
     """
-    if q is None:
-        q = instance.quality
     if lam is None:
         lam = instance.lam
     idx = None
@@ -178,5 +163,5 @@ def removal_measure(instance: Instance, ordered_selection: Sequence,
     prefix = [v for v, _ in ordered_selection[:idx]]
     peers = [v for v, c in ordered_selection if c == cluster_id and v != element]
     oracle = instance.oracle()
-    return qual.marginal(q, prefix, element) + lam * geometry.set_distance_sum(
+    return qual.marginal(instance.quality, prefix, element) + lam * geometry.set_distance_sum(
         oracle, element, peers)

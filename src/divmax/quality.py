@@ -116,6 +116,10 @@ def incidence(sets) -> sparse.csr_matrix:
 def value(q: QualityFunction, selected: Iterable[int]) -> float:
     """Quality of a set of elements.
 
+    Zero quality returns 0.0 before selected is read, so it builds no id
+    set. Modular quality sums the weights in the id set's iteration order;
+    coverage counts the union of the cover sets.
+
     Parameters
     ----------
     q : QualityFunction
@@ -125,8 +129,10 @@ def value(q: QualityFunction, selected: Iterable[int]) -> float:
     -------
     float
     """
+    if q.kind == "zero":
+        return 0.0
     ids = set(int(v) for v in selected)
-    if q.kind == "zero" or not ids:
+    if not ids:
         return 0.0
     if q.kind == "modular":
         return float(sum(q.weights[v] for v in ids))

@@ -36,7 +36,7 @@ from itertools import combinations, count
 import numpy as np
 
 from . import objective, quality as qual
-from .model import (Instance, Solution, _check_cluster, _selected_sets, even_budget,
+from .model import (Instance, Solution, _check_cluster, _partial_sets, even_budget,
                     is_feasible)
 
 DEFAULT_ORACLE_LIMIT = 10_000_000
@@ -176,14 +176,6 @@ class _State:
         for j, ids in enumerate(self.members):
             member_of[j, ids] = True
         return member_of
-
-    @functools.cached_property
-    def flat_members(self) -> tuple:
-        """(ids, cluster, cells): every cluster's members concatenated in
-        cluster order, with each entry's cluster and cell; built on first use."""
-        ids = np.concatenate(self.members)
-        sizes = [a.size for a in self.members]
-        return ids, np.repeat(np.arange(self.m), sizes), self.cells[ids]
 
     def free_mask(self, j: int) -> np.ndarray:
         """Which members of cluster j are free, aligned with members[j]."""
@@ -538,22 +530,23 @@ def _runs(seg: np.ndarray, k: int) -> tuple:
 
 
 def _anchors(st: _State, open_: list) -> tuple:
-    """(ids, seg, a, top): the ascending open_'s free members, one segment
-    per cluster (seg[i] is entry i's), and each segment's anchor ids[a[s]],
-    its first maximum top[s] of the quality marginal, or of sums(j) without
-    a quality function; one marginal_vec serves every segment.
+    """(ids, seg, a, top, free): the ascending open_'s free members, one
+    segment per cluster (seg[i] is entry i's, free[s] the segment's slice
+    of ids), and each segment's anchor ids[a[s]], its first maximum top[s]
+    of the quality marginal, or of sums(j) without a quality function. One
+    free mask covers the members of open_ alone, and one marginal_vec
+    serves every segment.
     """
-    ids, cluster, cells = st.flat_members
-    is_open = np.zeros(st.m, dtype=bool)
-    is_open[open_] = True
-    in_open = is_open[cluster]
-    keep = in_open & (st.load[cells] == 0)
-    ids, k = ids[keep], len(open_)
-    seg = np.repeat(np.arange(k), np.bincount(cluster[keep], minlength=st.m)[open_])
+    k = len(open_)
+    keep = st.load[np.concatenate([st.member_cells[j] for j in open_])] == 0
+    seg = np.repeat(np.arange(k), [st.members[j].size for j in open_])[keep]
+    ids = np.concatenate([st.members[j] for j in open_])[keep]
+    sizes, starts = _runs(seg, k)
     meas = (st.qstate.marginal_vec(ids) if st.qmode
-            else np.concatenate([st.sums(j) for j in open_])[keep[in_open]])
-    a = _first_max(meas, seg, _runs(seg, k)[1])
-    return ids, seg, a, meas[a]
+            else np.concatenate([st.sums(j) for j in open_])[keep])
+    a = _first_max(meas, seg, starts)
+    free = [ids[lo:lo + size] for lo, size in zip(starts.tolist(), sizes.tolist())]
+    return ids, seg, a, meas[a], free
 
 
 def _best_partners(st: _State, xs: np.ndarray, pool: np.ndarray, seg: np.ndarray,
@@ -586,7 +579,7 @@ def _gpa_batch(st: _State, js: list) -> list:
     marginal, the partner the free member outside the anchor's cell of
     largest pair_score, first of equals in member order.
     """
-    ids, seg, a, _ = _anchors(st, js)
+    ids, seg, a, _, _ = _anchors(st, js)
     xs, cells = ids[a], st.cells[ids]
     part = cells != cells[a][seg]
     pool, seg = ids[part], seg[part]
@@ -610,9 +603,8 @@ def _enhanced_candidates(st: _State, open_: list) -> list:
     partner, rank) keys then gives every round's pool in id order with each
     partner's home, and one _best_partners pass scores them all.
     """
-    ids, seg, a, top = _anchors(st, open_)
+    ids, seg, a, top, free = _anchors(st, open_)
     k = len(open_)
-    free = np.split(ids, _runs(seg, k)[1][1:])  # each open cluster's free members
     firsts = ids[a]
     # segments by largest budget, then lowest id: a round's eligible clusters in this order
     ranked = np.argsort(-st.budgets[open_], kind="stable").tolist()
@@ -847,9 +839,7 @@ def solve_lsg(instance: Instance, config: SolverConfig | None = None,
 
 
 def alpha_acceptable(instance: Instance, partial, cluster_id: int,
-                     x: int, y: int, alpha: float,
-                     q: qual.QualityFunction | None = None,
-                     lam: float | None = None) -> bool:
+                     x: int, y: int, alpha: float) -> bool:
     """Alpha-relaxed acceptance test for a quality-mode candidate pair.
 
     True when x's quality marginal is at least alpha times the best available
@@ -858,9 +848,7 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     """
     check_config(SolverConfig(alpha=alpha))
     _check_cluster(instance, cluster_id)
-    st = _State(instance, "alpha", q, start=_selected_sets(partial, instance.m))
-    if lam is None:
-        lam = st.lam
+    st = _State(instance, "alpha", start=_partial_sets(partial, instance))
     ids = st.free_members(cluster_id)
     if x not in ids:
         return False
@@ -871,7 +859,7 @@ def alpha_acceptable(instance: Instance, partial, cluster_id: int,
     if marg_x < alpha * st.qstate.marginal_vec(ids).max():
         return False
     w = even_budget(st.budgets[cluster_id])
-    margin = objective.pair_score(st.qstate.marginal_pair(x, partners), lam, w,
+    margin = objective.pair_score(st.qstate.marginal_pair(x, partners), st.lam, w,
                                   st.oracle.row(x, partners)) - marg_x
     return bool(margin[partners == y][0] >= alpha * margin.max())
 
@@ -886,11 +874,26 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     lexicographically smallest solution encoding. Raises OracleLimitError
     when the estimated search space exceeds the limit (default 1e7).
 
+    A depth-first search takes one subset per cluster in turn, and every
+    quality it reads is quality.value of a set; there is no lookup table.
+    Taking a subset for cluster j has the bound quality(union so far) +
+    quality(subset) + lambda * (dispersion so far + the subset's) +
+    suffix[j + 1], the sum of each later cluster's best lambda * dispersion
+    + quality. Quality is subadditive, so no completion exceeds it. The
+    subset is pruned when the bound falls below the best value found by more
+    than 1e-12 of itself: bound and leaf add the same terms in different
+    orders, and the slack keeps rounding from pruning a tie. So a tie is
+    never pruned, and the answer is that of the search without pruning.
+    Each complete selection is one leaf: its value quality(union) + lambda *
+    dispersion takes the lead when it is larger than the best, or equal to
+    it with a smaller encoding. No state is shared with the solvers (_State,
+    QualityState), so the oracle stays an independent reference for them.
+
     Returns (Solution, float combined objective).
     """
     if limit is None:
         limit = DEFAULT_ORACLE_LIMIT
-    n, m = instance.n, instance.m
+    m = instance.m
     budgets = instance.budgets()
     est = 1
     for j, c in enumerate(instance.clusters):
@@ -904,6 +907,9 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     lam = float(instance.lam)
     q = instance.quality
 
+    # per cluster, the empty one included: (combo, element bitmask, cell
+    # bitmask, dispersion, quality); members are ascending, so each combo is
+    # already in encoding order
     cand = []
     for j, c in enumerate(instance.clusters):
         members = list(c.members)
@@ -924,86 +930,35 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
                 for a in range(k):
                     for bb in range(a + 1, k):
                         disp += D[pos[combo[a]], pos[combo[bb]]]
-                subsets.append((combo, em, cm, disp))
+                subsets.append((combo, em, cm, disp, qual.value(q, combo)))
         cand.append(subsets)
 
-    # quality lookup over union bitmasks when small enough
-    qtab = None
-    if q.kind != "zero" and n <= 20:
-        if q.kind == "modular":
-            tab = np.zeros(1)
-            for v in range(n):
-                tab = np.concatenate([tab, tab + float(q.weights[v])])
-            qtab = tab
-        else:
-            inc = q.cover_incidence()
-            covm = [sum(1 << int(k) for k in inc[v].indices) for v in range(n)]
-            usize = [0] * (1 << n)
-            umask = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                umask[mask] = umask[mask ^ low] | covm[low.bit_length() - 1]
-                usize[mask] = umask[mask].bit_count()
-            qtab = np.asarray(usize, dtype=float)
-
-    best_term = []
-    for subsets in cand:
-        terms = [lam * disp + qual.value(q, combo) for combo, _, _, disp in subsets]
-        best_term.append(max(terms) if terms else 0.0)
+    best_term = [max(lam * disp + qv for _, _, _, disp, qv in subsets) for subsets in cand]
     suffix = [0.0] * (m + 1)
     for j in range(m - 1, -1, -1):
         suffix[j] = suffix[j + 1] + best_term[j]
 
-    state = {"val": -math.inf, "enc": None}
-    last = m - 1
+    best, best_enc = -math.inf, None
 
-    def dfs(j, used, cellused, union_mask, union_set, disp_acc, partial):
-        if j == last:
-            subsets = cand[j]
-            ok = [
-                i for i in range(len(subsets))
-                if not (subsets[i][1] & used) and not (subsets[i][2] & cellused)
-            ]
-            if not ok:
-                return
-            if qtab is not None:
-                vals = [
-                    float(qtab[union_mask | subsets[i][1]]) + lam * (disp_acc + subsets[i][3])
-                    for i in ok
-                ]
-            elif q.kind == "zero":
-                vals = [lam * (disp_acc + subsets[i][3]) for i in ok]
-            else:
-                vals = [
-                    qual.value(q, union_set | set(subsets[i][0]))
-                    + lam * (disp_acc + subsets[i][3])
-                    for i in ok
-                ]
-            vmax = max(vals)
-            picks = [ok[i] for i, vv in enumerate(vals) if vv == vmax]
-            combo = min(subsets[i][0] for i in picks)
-            enc = tuple(partial + [tuple(sorted(combo))])
-            if vmax > state["val"] or (vmax == state["val"] and enc < state["enc"]):
-                state["val"] = vmax
-                state["enc"] = enc
+    def dfs(j, used, cellused, union, disp_acc, partial):
+        nonlocal best, best_enc
+        base_q = qual.value(q, union)
+        if j == m:
+            val = base_q + lam * disp_acc
+            if val > best or (val == best and partial < best_enc):
+                best, best_enc = val, partial
             return
-        base_q = (
-            float(qtab[union_mask]) if qtab is not None
-            else qual.value(q, union_set)
-        )
-        for combo, em, cm, disp in cand[j]:
+        for combo, em, cm, disp, qv in cand[j]:
             if (em & used) or (cm & cellused):
                 continue
-            bound = base_q + qual.value(q, combo) + lam * (disp_acc + disp) + suffix[j + 1]
-            if bound < state["val"]:
+            bound = base_q + qv + lam * (disp_acc + disp) + suffix[j + 1]
+            if bound + 1e-12 * bound < best:  # a bound this close may be a tie's
                 continue
-            dfs(j + 1, used | em, cellused | cm, union_mask | em,
-                union_set | set(combo), disp_acc + disp,
-                partial + [tuple(sorted(combo))])
+            dfs(j + 1, used | em, cellused | cm, union | set(combo), disp_acc + disp,
+                partial + (combo,))
 
-    dfs(0, 0, 0, 0, set(), 0.0, [])
-    solution = Solution(selected=state["enc"])
-    return solution, float(state["val"])
+    dfs(0, 0, 0, set(), 0.0, ())
+    return Solution(selected=best_enc), float(best)
 
 
 def approximation_ratio(instance: Instance, solution: Solution,

@@ -134,6 +134,19 @@ BAD_OPTIONS = [
     ("algorithm", ["bench", "--sizes", "30", "--algorithm", "foo"]),
     ("repeats", ["bench", "--sizes", "30", "--repeats", "0"]),
     ("repeats", ["bench", "--sizes", "30", "--repeats", "-2"]),
+    ("n", ["gen", "--n", "0", "-o", "out.json"]),
+    ("m", ["gen", "--m", "0", "-o", "out.json"]),
+    ("overlap", ["gen", "--overlap", "9", "-o", "out.json"]),
+    ("overlap", ["gen", "--overlap", "0", "-o", "out.json"]),
+    ("spread", ["gen", "--family", "prototype", "--spread", "-1", "-o", "out.json"]),
+    ("eps", ["gen", "--family", "tight", "--eps", "nan", "-o", "out.json"]),
+    ("eps", ["gen", "--family", "tight", "--eps", "-1", "-o", "out.json"]),
+    ("budgets", ["gen", "--budgets", "x", "-o", "out.json"]),
+    ("q", ["gen", "--family", "tight", "--q", "1", "-o", "out.json"]),
+    ("n", ["bench", "--sizes", "0,10"]),
+    ("sizes", ["bench", "--sizes", "abc"]),
+    ("budgets", ["bench", "--sizes", "30", "--budgets", "2,3"]),
+    ("overlap", ["bench", "--sizes", "30", "--overlap", "20"]),
 ]
 
 
@@ -142,12 +155,13 @@ def test_bad_options_exit_2_before_solving(tmp_path, capsys, monkeypatch, field,
     inst = gen_instance(tmp_path)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    extra = [] if argv[0] == "bench" else ["--instance", str(inst)]
+    extra = ["--instance", str(inst)] if argv[0] in ("solve", "experiment") else []
     assert main([argv[0], *extra, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"invalid option: {field} must be")
     assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_solve_gpa_flags(tmp_path):

@@ -140,7 +140,8 @@ def test_no_pair_from_a_single_free_cell():
 
 
 def _brute_force_best(inst):
-    """Best combined objective over every per-cluster choice, by enumeration."""
+    """Best combined objective over every per-cluster choice, by enumeration;
+    values within 1e-12 tie, and a tie goes to the smaller encoding."""
     options = [[c for k in range(min(cl.budget, len(cl.members)) + 1)
                 for c in combinations(cl.members, k)] for cl in inst.clusters]
     best = None
@@ -149,7 +150,8 @@ def _brute_force_best(inst):
         if is_feasible(inst, sol):
             continue
         val = combined_objective(inst, sol).combined
-        if best is None or val > best[0] + 1e-12:
+        if (best is None or val > best[0] + 1e-12
+                or (val >= best[0] - 1e-12 and sol.selected < best[1].selected)):
             best = (val, sol)
     return best
 
@@ -173,6 +175,45 @@ def test_exact_beyond_63_elements_matches_enumeration():
         assert val == pytest.approx(want_val, abs=1e-12)
         assert sol.selected == want_sol.selected
         assert is_feasible(inst, sol) == []
+
+
+@pytest.mark.parametrize("cells", [False, True], ids=["singletons", "cells"])
+@pytest.mark.parametrize("kind", ["zero", "modular", "coverage"])
+def test_exact_small_matches_enumeration(kind, cells):
+    """n <= 20, every quality kind, with and without cells: the oracle's value
+    and its tie-break (smallest encoding) match enumeration. Singleton picks
+    that add no dispersion tie with leaving the cluster empty."""
+    rng = np.random.default_rng(["zero", "modular", "coverage"].index(kind) * 2 + cells)
+    for _ in range(6):
+        n = int(rng.integers(6, 21))
+        pts = rng.random((n, 2))
+        clusters = [(tuple(rng.choice(n, size=int(rng.integers(3, 7)), replace=False)),
+                     int(rng.integers(1, 4))) for _ in range(int(rng.integers(2, 4)))]
+        kw = {"lam": float(rng.choice([0.0, 0.37, 1.0, 2.3]))}
+        if cells:
+            kw["partition"] = rng.integers(0, max(2, n // 2), size=n).tolist()
+        if kind == "modular":
+            kw["quality"] = QualityFunction.modular(rng.random(n))
+        elif kind == "coverage":
+            kw["quality"] = QualityFunction.coverage(
+                [rng.choice(10, size=int(rng.integers(1, 4)), replace=False).tolist()
+                 for _ in range(n)])
+        inst = points_instance(pts, clusters, **kw)
+        sol, val = solve_exact(inst)
+        want_val, want_sol = _brute_force_best(inst)
+        assert val == pytest.approx(want_val, rel=1e-12, abs=1e-12)
+        assert sol.selected == want_sol.selected
+
+
+def test_exact_rounding_does_not_prune_a_tie():
+    """Cluster 0 left empty ties with its lone member taken, and () is the
+    smaller encoding. The bound of () adds lambda * dispersion back to
+    front and the leaf front to back; here the bound reads one ulp below
+    the best, and a bound without slack pruned the tie."""
+    inst = points_instance([0.0, 10.0, 10.64, 20.0, 20.27, 30.0, 30.04],
+                           [((0,), 1), ((1, 2), 2), ((3, 4), 2), ((5, 6), 2)], lam=2.3)
+    sol, _ = solve_exact(inst)
+    assert sol.selected == ((), (1, 2), (3, 4), (5, 6))
 
 
 def test_gpa_single_cluster_within_twice_diameter():
@@ -779,6 +820,24 @@ def test_cluster_id_out_of_range_raises(call, cluster_id):
     inst = points_instance(np.arange(8.0), [((0, 1, 2, 3), 2), ((4, 5, 6, 7), 2)])
     with pytest.raises(IndexError, match=rf"cluster id {cluster_id} out of range \[0, 2\)"):
         call(inst, cluster_id)
+
+
+@pytest.mark.parametrize("element", [-1, 6])
+@pytest.mark.parametrize("call", [
+    lambda inst, p: available_elements(inst, p, 1),
+    lambda inst, p: is_saturated(inst, p, 1),
+    lambda inst, p: pair_gain_dispersion(inst, p, 1, 3, 4),
+    lambda inst, p: pair_gain_combined(inst, p, 1, 3, 4),
+    lambda inst, p: alpha_acceptable(inst, p, 1, 3, 4, alpha=1.0),
+], ids=["available_elements", "is_saturated", "pair_gain_dispersion", "pair_gain_combined",
+        "alpha_acceptable"])
+def test_partial_element_id_out_of_range_raises(call, element):
+    # -1 read as element n - 1, and n raised numpy's bare out-of-bounds error
+    inst = points_instance(np.arange(6.0), [((0, 1, 2), 2), ((3, 4, 5), 2)])
+    with pytest.raises(IndexError, match=rf"selected\[1\]: element id {element} "
+                                         r"out of range \[0, 6\)"):
+        call(inst, [set(), {element}])
+    assert [v.kind for v in is_feasible(inst, [set(), {element}])] == ["schema"]
 
 
 def test_gelms_zero_quality_first_pick_is_smallest_id():
