@@ -167,6 +167,9 @@ def _cmd_oracle(args) -> int:
     except solvers.OracleLimitError as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a limit below 1, raised before any search
+        print(f"invalid option: {exc}", file=sys.stderr)
+        return 2
     print(f"exact: combined={value:.6g}")
     if args.output:
         harness.save_solution(args.output, solution,

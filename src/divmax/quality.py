@@ -203,9 +203,11 @@ class QualityState:
     round-up removal step and local search.
 
     Joint pair marginals have one kernel, marginal_pairs(us, vs): one
-    _shared call for any number of us against any number of vs; gp's square
-    block is marginal_pairs(ids, ids). marginal_pair is its one-row form.
-    Coverage marginals are integers, so both forms are exact.
+    _shared call for any number of us against any number of vs.
+    marginal_pair is its one-row form. gp's square blocks come from
+    kept_pairs(key, ids), which under coverage keeps each key's block of
+    shared uncovered items across calls instead of calling _shared. Coverage
+    marginals are integers, so every form is exact.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -219,6 +221,7 @@ class QualityState:
             self._count = np.zeros(self._inc.shape[1], dtype=int)
             self._gain = np.diff(self._inc.indptr).astype(int)  # int32 slows ufunc.at 4x
             self._pos = np.full(n, -1)  # reused buffer: batch position of each id, -1 elsewhere
+            self._kept = {}  # key -> [its, H, unc, S], see kept_pairs
 
     def _items(self, v: int) -> np.ndarray:
         return self._inc.indices[self._inc.indptr[v]:self._inc.indptr[v + 1]]
@@ -247,6 +250,7 @@ class QualityState:
         if self.q.kind == "modular":
             self._total -= float(self.q.weights[v])
         elif self.q.kind == "coverage":
+            self._kept.clear()  # S only subtracts items, so one uncovered again would be missing
             items = self._items(v)
             count = self._count[items] - 1
             self._count[items] = count
@@ -317,6 +321,40 @@ class QualityState:
             return self.marginal_vec(us)[:, None] + self.marginal_vec(vs)
         g = self._gain
         return (g[us][:, None] + g[vs] - self._shared(us, vs, 0)).astype(float)
+
+    def kept_pairs(self, key, ids: np.ndarray) -> np.ndarray:
+        """marginal_pairs(ids, ids), bit for bit, from a block kept under key.
+
+        Every call with one key must pass the same distinct ids. Under
+        coverage the first call keeps its, the distinct items of ids; H, their
+        0/1 incidence (ids x its, float); unc, which of them are uncovered;
+        and S = H[:, unc] @ H[:, unc].T, the uncovered items each pair shares.
+        A later call subtracts the outer products of the items covered
+        since, so it costs a product over those alone. Every entry is a
+        small integer, exact in float64, so g_u + g_v - S equals
+        marginal_pairs' integer block turned to float once. remove() discards
+        every kept block, and the next call builds afresh. Zero and modular
+        quality keep nothing.
+        """
+        if self.q.kind != "coverage":
+            return self.marginal_pairs(ids, ids)
+        kept = self._kept.get(key)
+        if kept is None:
+            pos, items = _entries(self._inc, ids)
+            its, col = np.unique(items, return_inverse=True)
+            H = np.zeros((ids.size, its.size))
+            H[pos, col] = 1.0
+            unc = self._count[its] == 0
+            kept = self._kept[key] = [its, H, unc, H[:, unc] @ H[:, unc].T]
+        its, H, unc, S = kept
+        now = self._count[its] == 0
+        new = unc & ~now
+        if new.any():
+            Hn = H[:, new]
+            S -= Hn @ Hn.T
+            kept[2] = now
+        g = self._gain[ids].astype(float)
+        return g[:, None] + g - S
 
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding u together with each element of vs."""

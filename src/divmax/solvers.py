@@ -141,6 +141,15 @@ class _State:
     keeps them current from then on. While only adds happen a count only
     falls, and it falls exactly when j's free members change, so _lazy_round
     reads it as j's version.
+
+    pair_blocks(j) is gp's (D, bad) over all of cluster j's members: D =
+    pairwise(members[j]) and bad[a, b] true where a >= b or the two share a
+    cell. Neither reads the selection, so each is built at j's first call
+    and kept for the run; _best_pair masks the members that are not free
+    at each call. The coverage block of shared uncovered items that goes
+    with them is kept by QualityState.kept_pairs under key j, and _drop
+    discards it through QualityState.remove, so after a remove or a swap
+    the next _best_pair builds it afresh.
     """
 
     def __init__(self, instance: Instance, algorithm: str,
@@ -157,6 +166,7 @@ class _State:
         self._empty = None  # built by the first empty_cells call
         self.dsum = None  # built by the first sums call
         self._kept = {}  # j -> (v, row(v, members[j])), the last row read for j
+        self._blocks = {}  # j -> pair_blocks(j), built by its first call
         self.load = np.zeros(self.n, dtype=int)
         self.sel = [set() for _ in range(self.m)]
         self.qstate = qual.QualityState(instance.quality if q is None else q, self.n)
@@ -201,6 +211,15 @@ class _State:
             self.dsum = [self.oracle.rows(sorted(S), ids).sum(axis=0) if S
                          else np.zeros(ids.size) for S, ids in zip(self.sel, self.members)]
         return self.dsum[j]
+
+    def pair_blocks(self, j: int) -> tuple:
+        """(D, bad) over cluster j's members, aligned with members[j]."""
+        blocks = self._blocks.get(j)
+        if blocks is None:
+            cells = self.member_cells[j]
+            bad = (cells[:, None] == cells) | np.tri(cells.size, dtype=bool)
+            blocks = self._blocks[j] = (self.oracle.pairwise(self.members[j]), bad)
+        return blocks
 
     def _row(self, j: int, v: int) -> np.ndarray:
         kept = self._kept.get(j)
@@ -292,16 +311,23 @@ def _best_pair(st: _State, j: int) -> tuple:
     lexicographically smallest (u, v) because ids are ascending. Same-cell
     pairs score -inf; the pair loop passes only clusters with a pair across
     two cells.
+
+    Without a quality function the scan runs in Python over the block of
+    free members. With one it scores the kept block over all members
+    (st.pair_blocks(j), QualityState.kept_pairs), with every pair outside
+    the free members at -inf. Free positions are ascending, so that block's
+    row-major first maximum is the pair that the free members' own block
+    gives, with the same bits: pairwise reads one value per distance, and
+    pair_score works elementwise.
     """
-    ids = st.free_members(j)
-    k = ids.size
     weight = int(st.weights[j])
-    D = st.oracle.pairwise(ids)
-    cells = st.cells[ids]
-    same = cells[:, None] == cells[None, :]
     if not st.qmode:
+        ids = st.free_members(j)
+        k = ids.size
+        D = st.oracle.pairwise(ids)
+        cells = st.cells[ids]
         # raw distances, scored after the argmax: a zero weight must not tie
-        D[same] = -np.inf
+        D[cells[:, None] == cells[None, :]] = -np.inf
         best = None
         for a in range(k):
             Da = D[a]
@@ -311,9 +337,12 @@ def _best_pair(st: _State, j: int) -> tuple:
                     best = (d, a, bb)
         gain = objective.pair_score(0.0, 1.0, weight, float(best[0]))
         return gain, j, int(ids[best[1]]), int(ids[best[2]])
-    g = objective.pair_score(st.qstate.marginal_pairs(ids, ids), st.lam, weight, D)
-    g[same | np.tri(k, dtype=bool)] = -np.inf
-    a, b = divmod(int(np.argmax(g)), k)
+    ids = st.members[j]
+    D, bad = st.pair_blocks(j)
+    free = st.free_mask(j)
+    g = objective.pair_score(st.qstate.kept_pairs(j, ids), st.lam, weight, D)
+    g[bad | ~(free[:, None] & free)] = -np.inf
+    a, b = divmod(int(np.argmax(g)), ids.size)
     return float(g[a, b]), j, int(ids[a]), int(ids[b])
 
 
@@ -402,6 +431,10 @@ def _greedy_pairs(st: _State, config: SolverConfig, propose) -> tuple:
       in a heap keyed (-gain, j); a stale top is refreshed and pushed back
       until the top is fresh. Every other cluster then scores below it, or
       ties it with a larger j, so the top is the _pick winner.
+    - Kept blocks (gp with a quality function): a refresh reads no new
+      distances and rebuilds no mask. Its shared-uncovered block under
+      coverage is kept from j's last refresh, less the items covered since:
+      the loop only adds, so an item once covered stays covered.
     gpa's anchor can change with no bound, so it refreshes every stale
     cluster at once: with a quality function in one _gpa_batch call, and
     under coverage every open cluster is stale each round. The covering
@@ -872,14 +905,19 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     combinations that reuse elements or cells, and returns the solution with
     the largest combined objective. Equal objectives resolve to the
     lexicographically smallest solution encoding. Raises OracleLimitError
-    when the estimated search space exceeds the limit (default 1e7).
+    when the estimated search space exceeds the limit (default 1e7), and
+    ValueError, before any search, for a limit below 1: the estimate is
+    always at least 1.
 
-    A depth-first search takes one subset per cluster in turn, and every
-    quality it reads is quality.value of a set; there is no lookup table.
-    Taking a subset for cluster j has the bound quality(union so far) +
-    quality(subset) + lambda * (dispersion so far + the subset's) +
-    suffix[j + 1], the sum of each later cluster's best lambda * dispersion
-    + quality. Quality is subadditive, so no completion exceeds it. The
+    A depth-first search takes one subset per cluster in turn; there is no
+    lookup table. Each subset's quality is quality.value of its elements,
+    computed once, and so is a union's, except under coverage: there the
+    search carries the union's covered items, not its elements, each subset
+    keeps its cover union beside its bitmasks, and a union's quality is the
+    count of its covered items. Taking a subset for cluster j has the bound
+    quality(union so far) + quality(subset) + lambda * (dispersion so far +
+    the subset's) + suffix[j + 1], the sum of each later cluster's best
+    lambda * dispersion + quality. Quality is subadditive, so no completion exceeds it. The
     subset is pruned when the bound falls below the best value found by more
     than 1e-12 of itself: bound and leaf add the same terms in different
     orders, and the slack keeps rounding from pruning a tie. So a tie is
@@ -893,6 +931,8 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     """
     if limit is None:
         limit = DEFAULT_ORACLE_LIMIT
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     m = instance.m
     budgets = instance.budgets()
     est = 1
@@ -906,9 +946,18 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
     cells = instance.cell_of()
     lam = float(instance.lam)
     q = instance.quality
+    if q.kind == "coverage":
+        def part(combo):
+            return frozenset().union(*(q.covers[v] for v in combo))
+
+        def value(union):
+            return float(len(union))
+    else:
+        part, value = set, functools.partial(qual.value, q)
 
     # per cluster, the empty one included: (combo, element bitmask, cell
-    # bitmask, dispersion, quality); members are ascending, so each combo is
+    # bitmask, dispersion, quality, part: its cover union under coverage,
+    # its element set otherwise); members are ascending, so each combo is
     # already in encoding order
     cand = []
     for j, c in enumerate(instance.clusters):
@@ -930,10 +979,10 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
                 for a in range(k):
                     for bb in range(a + 1, k):
                         disp += D[pos[combo[a]], pos[combo[bb]]]
-                subsets.append((combo, em, cm, disp, qual.value(q, combo)))
+                subsets.append((combo, em, cm, disp, qual.value(q, combo), part(combo)))
         cand.append(subsets)
 
-    best_term = [max(lam * disp + qv for _, _, _, disp, qv in subsets) for subsets in cand]
+    best_term = [max(lam * disp + qv for _, _, _, disp, qv, _ in subsets) for subsets in cand]
     suffix = [0.0] * (m + 1)
     for j in range(m - 1, -1, -1):
         suffix[j] = suffix[j + 1] + best_term[j]
@@ -942,19 +991,19 @@ def solve_exact(instance: Instance, limit: int | None = None) -> tuple:
 
     def dfs(j, used, cellused, union, disp_acc, partial):
         nonlocal best, best_enc
-        base_q = qual.value(q, union)
+        base_q = value(union)
         if j == m:
             val = base_q + lam * disp_acc
             if val > best or (val == best and partial < best_enc):
                 best, best_enc = val, partial
             return
-        for combo, em, cm, disp, qv in cand[j]:
+        for combo, em, cm, disp, qv, p in cand[j]:
             if (em & used) or (cm & cellused):
                 continue
             bound = base_q + qv + lam * (disp_acc + disp) + suffix[j + 1]
             if bound + 1e-12 * bound < best:  # a bound this close may be a tie's
                 continue
-            dfs(j + 1, used | em, cellused | cm, union | set(combo), disp_acc + disp,
+            dfs(j + 1, used | em, cellused | cm, union | p, disp_acc + disp,
                 partial + (combo,))
 
     dfs(0, 0, 0, set(), 0.0, ())

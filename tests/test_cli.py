@@ -147,6 +147,8 @@ BAD_OPTIONS = [
     ("sizes", ["bench", "--sizes", "abc"]),
     ("budgets", ["bench", "--sizes", "30", "--budgets", "2,3"]),
     ("overlap", ["bench", "--sizes", "30", "--overlap", "20"]),
+    ("limit", ["oracle", "--limit", "0", "-o", "out.json"]),
+    ("limit", ["oracle", "--limit", "-5", "-o", "out.json"]),
 ]
 
 
@@ -155,7 +157,7 @@ def test_bad_options_exit_2_before_solving(tmp_path, capsys, monkeypatch, field,
     inst = gen_instance(tmp_path)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    extra = ["--instance", str(inst)] if argv[0] in ("solve", "experiment") else []
+    extra = ["--instance", str(inst)] if argv[0] in ("solve", "experiment", "oracle") else []
     assert main([argv[0], *extra, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -384,11 +384,28 @@ def test_enhanced_reads_each_first_element_once_per_call(monkeypatch, quality):
     assert len(rounds) > 1 and max(rounds) > 1  # the covering scheme repeats
 
 
+def _fresh_best_pair(st, j):
+    """_best_pair from blocks over j's free members alone, built afresh:
+    pairwise(free), marginal_pairs(free, free), the same-cell and np.tri
+    mask, and one argmax. Zero quality scores the raw distance after it."""
+    ids = st.free_members(j)
+    k = ids.size
+    weight = int(st.weights[j])
+    D = st.oracle.pairwise(ids)
+    g = (objective.pair_score(st.qstate.marginal_pairs(ids, ids), st.lam, weight, D)
+         if st.qmode else D)
+    cells = st.cells[ids]
+    g[(cells[:, None] == cells) | np.tri(k, dtype=bool)] = -np.inf
+    a, b = divmod(int(np.argmax(g)), k)
+    gain = float(g[a, b]) if st.qmode else objective.pair_score(0.0, 1.0, weight, float(g[a, b]))
+    return gain, j, int(ids[a]), int(ids[b])
+
+
 def _eager_pairs(inst, config):
     """gp or gpa proposing afresh for every open cluster every round."""
     def propose(st, open_):
         if config.algorithm == Algorithm.GP:
-            return [solvers._best_pair(st, j) for j in open_]
+            return [_fresh_best_pair(st, j) for j in open_]
         if st.qmode:
             return _gpa_round(st, open_)
         return [solvers._gpa_candidate(st, j, config.alpha) for j in open_]
@@ -447,6 +464,53 @@ def test_lazy_proposals_match_eager_rounds(build, seed):
         want_sol, want_trace = _eager_pairs(inst, config)
         assert sol.selected == want_sol.selected
         assert trace.events == want_trace.events
+
+
+def test_kept_pair_blocks_match_fresh_blocks(monkeypatch):
+    # every gp refresh under modular and coverage quality, checked against
+    # blocks built afresh; most reuse a block kept from an earlier refresh
+    seen = {"refreshes": 0, "kept": 0}
+
+    def checked(st, j, _real=solvers._best_pair):
+        seen["kept"] += j in st._blocks
+        got = _real(st, j)
+        assert got == _fresh_best_pair(st, j)
+        seen["refreshes"] += 1
+        return got
+
+    monkeypatch.setattr(solvers, "_best_pair", checked)
+    for seed in (s for s in range(60) if s % 3):  # modular and coverage
+        inst = _shared_cells(seed)
+        for policy in OddPolicy:
+            solve(inst, SolverConfig(algorithm=Algorithm.GP, odd_policy=policy))
+    assert seen["kept"] > seen["refreshes"] // 2 > 0, seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5, 7, 8])
+def test_best_pair_after_remove_and_swap(seed):
+    # removes and swaps uncover items again, so the kept coverage block is
+    # rebuilt; adds in between keep it
+    inst = _shared_cells(seed)
+    st = solvers._State(inst, "gp")
+    rng = np.random.default_rng(seed)
+    kinds = set()
+    for step in range(40):
+        for j in np.flatnonzero(st.empty_cells() >= 2).tolist():
+            assert solvers._best_pair(st, j) == _fresh_best_pair(st, j), (step, j)
+        j = int(rng.integers(st.m))
+        free, sel = st.free_members(j), sorted(st.sel[j])
+        kind = ("pair", "remove", "pair", "swap")[step % 4]
+        if kind == "pair" and st.empty_cells()[j] >= 2:
+            _, _, u, v = solvers._best_pair(st, j)
+            st.add_pair(j, u, v, 0.0)
+        elif kind == "remove" and sel:
+            st.remove(j, int(rng.choice(sel)), 0.0)
+        elif kind == "swap" and sel and free.size:
+            st.swap(j, int(rng.choice(sel)), int(rng.choice(free)), 0.0)
+        else:
+            continue
+        kinds.add(kind)
+    assert kinds == {"pair", "remove", "swap"}
 
 
 def test_untouched_proposals_are_reused(monkeypatch):
