@@ -113,19 +113,17 @@ def _cmd_gen(args) -> int:
     if spec is None:
         return 2
     out = instgen.generate(spec)
-    if args.family == "tight":
-        instance, adv, opt = out
+    # tight also returns its adversarial and optimal reference solutions
+    instance, *refs = out if args.family == "tight" else (out,)
+    try:
         harness.save_instance(args.output, instance)
-        if args.adv_out:
-            harness.save_solution(
-                args.adv_out, adv,
-                objective.combined_objective(instance, adv))
-        if args.opt_out:
-            harness.save_solution(
-                args.opt_out, opt,
-                objective.combined_objective(instance, opt))
-    else:
-        harness.save_instance(args.output, out)
+    except harness.SchemaError as exc:  # raised before the file is opened
+        print(f"schema error: {exc}", file=sys.stderr)
+        return 2
+    for path, solution in zip((args.adv_out, args.opt_out), refs):
+        if path:
+            harness.save_solution(path, solution,
+                                  objective.combined_objective(instance, solution))
     print(f"wrote {args.output}")
     return 0
 

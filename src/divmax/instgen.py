@@ -50,8 +50,9 @@ def check_spec(spec: GenSpec, family: str | None = None) -> GenSpec:
     are in range; ValueError names the first that is not. random and
     prototype need n, m and dim >= 1 and nonnegative budgets, one shared or
     one per cluster; random needs an overlap in [1, m] and prototype a
-    finite spread >= 0; tight needs q >= 2 and a finite eps >= 0. generate
-    and each generator check their spec here first."""
+    finite spread >= 0; fig1 needs a finite D; tight needs q >= 2 and a
+    finite eps >= 0. generate and each generator check their spec here
+    first."""
     family = spec.family if family is None else family
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {', '.join(sorted(_FAMILIES))}, "
@@ -66,6 +67,9 @@ def check_spec(spec: GenSpec, family: str | None = None) -> GenSpec:
             raise ValueError(f"overlap must be in [1, m = {spec.m}], got {spec.overlap!r}")
         if family == "prototype" and not 0 <= spec.spread < math.inf:
             raise ValueError(f"spread must be finite and >= 0, got {spec.spread!r}")
+    elif family == "fig1":
+        if not math.isfinite(spec.D):
+            raise ValueError(f"D must be finite, got {spec.D!r}")
     elif family == "tight":
         if spec.q < 2:
             raise ValueError(f"q must be >= 2, got {spec.q!r}")
@@ -142,7 +146,7 @@ def gen_fig1(spec: GenSpec) -> Instance:
     strands every far pair, so its dispersion stays bounded while the best
     solution grows linearly in D.
     """
-    D = float(spec.D)
+    D = float(check_spec(spec, "fig1").D)
     r0 = 0.2
     ang = np.deg2rad([90.0, 210.0, 330.0])
     pts = np.zeros((7, 2))

@@ -172,56 +172,46 @@ def marginal_pair(q: QualityFunction, selected: Iterable[int], u: int, v: int) -
     return value(q, ids | {u, v}) - value(q, ids)
 
 
-def prefix_marginals(q: QualityFunction, order) -> np.ndarray:
-    """Marginal of each element over the elements before it in order.
-
-    Entry p equals marginal(q, order[:p], order[p]); the ids must be distinct.
-    For coverage that is the number of order[p]'s items that no earlier
-    element covers.
-    """
-    order = np.asarray(order, dtype=int)
-    if q.kind == "zero":
-        return np.zeros(order.size)
-    if q.kind == "modular":
-        return np.asarray(q.weights, dtype=float)[order]
-    inc = q.cover_incidence()
-    pos, items = _entries(inc, order)
-    first = np.full(inc.shape[1], order.size)  # first position covering each item
-    np.minimum.at(first, items, pos)
-    return np.bincount(pos[first[items] == pos], minlength=order.size).astype(float)
-
-
 class QualityState:
     """Incremental quality evaluation for one solver run.
 
-    Tracks the globally selected set. For coverage, _count[i] is how many
-    selected elements cover item i and _gain[v] how many of v's items none
-    covers (0 once v is selected), so marginals are gathers. add and remove
-    update _gain through the item -> holders index (cover_holders()), at a
-    cost in the holders of the items they cover or uncover, not in n; pair
-    queries count overlaps through it (_shared). remove() exists for the
-    round-up removal step and local search.
+    Tracks the globally selected set and one gain per element for every
+    kind: _gain[v] is v's marginal and 0 while v is selected, so every
+    marginal is a gather. Out of the selection it is v's weight (modular),
+    0 (zero) or how many of v's items no selected element covers
+    (coverage); coverage's small integer counts are exact in float64.
+    added[v] is _gain[v] just before v's last add, which the round-up
+    removal reads as v's marginal over the elements added before it.
+
+    Zero and modular quality are additive: add zeroes v's entry and remove
+    puts back its weight, added[v]. Only coverage keeps more: _count[i] is
+    how many selected elements cover item i, and add and remove update
+    _gain through the item -> holders index (cover_holders()), at a cost in
+    the holders of the items they cover or uncover, not in n; pair queries
+    count overlaps through it (_shared). remove() exists for the round-up
+    removal step and local search.
 
     Joint pair marginals have one kernel, marginal_pairs(us, vs): one
     _shared call for any number of us against any number of vs.
     marginal_pair is its one-row form. gp's square blocks come from
     kept_pairs(key, ids), which under coverage keeps each key's block of
-    shared uncovered items across calls instead of calling _shared. Coverage
-    marginals are integers, so every form is exact.
+    shared uncovered items across calls instead of calling _shared.
     """
 
     def __init__(self, q: QualityFunction, n: int):
         self.q = q
-        self.n = n
         self.in_sel = np.zeros(n, dtype=bool)
-        self._total = 0.0
+        self.added = np.zeros(n)
         if q.kind == "coverage":
             self._inc = q.cover_incidence()
             self._hold = q.cover_holders()
             self._count = np.zeros(self._inc.shape[1], dtype=int)
-            self._gain = np.diff(self._inc.indptr).astype(int)  # int32 slows ufunc.at 4x
+            # add and remove step it by a float 1.0: an int step slows ufunc.at 4x
+            self._gain = np.diff(self._inc.indptr).astype(float)
             self._pos = np.full(n, -1)  # reused buffer: batch position of each id, -1 elsewhere
             self._kept = {}  # key -> [its, H, unc, S], see kept_pairs
+        else:
+            self._gain = np.zeros(n) if q.weights is None else np.array(q.weights, dtype=float)
 
     def _items(self, v: int) -> np.ndarray:
         return self._inc.indices[self._inc.indptr[v]:self._inc.indptr[v + 1]]
@@ -229,47 +219,40 @@ class QualityState:
     def value(self) -> float:
         if self.q.kind == "coverage":
             return float(np.count_nonzero(self._count))
-        return self._total
+        return float(self.added[self.in_sel].sum())
 
     def add(self, v: int) -> None:
         if self.in_sel[v]:
             return
         self.in_sel[v] = True
-        if self.q.kind == "modular":
-            self._total += float(self.q.weights[v])
-        elif self.q.kind == "coverage":
+        self.added[v] = self._gain[v]
+        if self.q.kind == "coverage":
             items = self._items(v)
             count = self._count[items] + 1  # a row's items are distinct
             self._count[items] = count
-            np.subtract.at(self._gain, _entries(self._hold, items[count == 1])[1], 1)
+            np.subtract.at(self._gain, _entries(self._hold, items[count == 1])[1], 1.0)
+        else:
+            self._gain[v] = 0.0
 
     def remove(self, v: int) -> None:
         if not self.in_sel[v]:
             return
         self.in_sel[v] = False
-        if self.q.kind == "modular":
-            self._total -= float(self.q.weights[v])
-        elif self.q.kind == "coverage":
+        if self.q.kind == "coverage":
             self._kept.clear()  # S only subtracts items, so one uncovered again would be missing
             items = self._items(v)
             count = self._count[items] - 1
             self._count[items] = count
-            np.add.at(self._gain, _entries(self._hold, items[count == 0])[1], 1)
+            np.add.at(self._gain, _entries(self._hold, items[count == 0])[1], 1.0)
+        else:
+            self._gain[v] = self.added[v]
 
     def marginal(self, v: int) -> float:
-        if self.in_sel[v] or self.q.kind == "zero":
-            return 0.0
-        if self.q.kind == "modular":
-            return float(self.q.weights[v])
         return float(self._gain[v])
 
     def marginal_vec(self, ids: np.ndarray) -> np.ndarray:
         """Vector of marginal gains for a batch of candidate elements."""
-        if self.q.kind == "zero":
-            return np.zeros(len(ids))
-        if self.q.kind == "modular":
-            return np.where(self.in_sel[ids], 0.0, self.q.weights[ids])
-        return self._gain[ids].astype(float)
+        return self._gain[ids]
 
     def _shared(self, us: np.ndarray, vs: np.ndarray, level: int) -> np.ndarray:
         """[a, b]: items of us[a] that exactly level selected elements cover and vs[b] covers.
@@ -298,17 +281,14 @@ class QualityState:
         """
         outs = np.asarray(outs, dtype=int)
         inns = np.asarray(inns, dtype=int)
-        if self.q.kind == "zero":
-            return np.zeros((outs.size, inns.size))
-        if self.q.kind == "modular":
-            w = self.q.weights
-            return w[inns][None, :] - w[outs][:, None]
+        g = self._gain[inns][None, :]
+        if self.q.kind != "coverage":
+            return g - self.added[outs][:, None]  # an additive out loses its weight
         # outs[a] alone covers the items it would leave uncovered (lost);
         # inns[i] wins its uncovered items back plus those of lost it covers
         pos, items = _entries(self._inc, outs)
         lost = np.bincount(pos[self._count[items] == 1], minlength=outs.size)
-        return (self._gain[inns][None, :] + self._shared(outs, inns, 1)
-                - lost[:, None]).astype(float)
+        return g + self._shared(outs, inns, 1) - lost[:, None]
 
     def marginal_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding us[a] together with vs[b], at [a, b].
@@ -317,10 +297,10 @@ class QualityState:
         cover. us may repeat an id and vs may not; an entry whose two ids
         are equal carries no meaning.
         """
-        if self.q.kind != "coverage":
-            return self.marginal_vec(us)[:, None] + self.marginal_vec(vs)
-        g = self._gain
-        return (g[us][:, None] + g[vs] - self._shared(us, vs, 0)).astype(float)
+        pairs = self._gain[us][:, None] + self._gain[vs]
+        if self.q.kind == "coverage":
+            pairs -= self._shared(us, vs, 0)
+        return pairs
 
     def kept_pairs(self, key, ids: np.ndarray) -> np.ndarray:
         """marginal_pairs(ids, ids), bit for bit, from a block kept under key.
@@ -332,7 +312,7 @@ class QualityState:
         A later call subtracts the outer products of the items covered
         since, so it costs a product over those alone. Every entry is a
         small integer, exact in float64, so g_u + g_v - S equals
-        marginal_pairs' integer block turned to float once. remove() discards
+        marginal_pairs' block. remove() discards
         every kept block, and the next call builds afresh. Zero and modular
         quality keep nothing.
         """
@@ -353,7 +333,7 @@ class QualityState:
             Hn = H[:, new]
             S -= Hn @ Hn.T
             kept[2] = now
-        g = self._gain[ids].astype(float)
+        g = self._gain[ids]
         return g[:, None] + g - S
 
     def marginal_pair(self, u: int, vs: np.ndarray) -> np.ndarray:

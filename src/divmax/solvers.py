@@ -352,16 +352,12 @@ def _removal_measures(st: _State) -> list:
     S is sorted S_j and measures[i] equals objective.removal_measure of S[i]
     over the pair events, bit for bit:
     - the quality part, each element's marginal over the elements added
-      before it, comes for all elements from one quality.prefix_marginals
-      pass;
+      before it, is the gain QualityState.added kept at its add: only the
+      pair events' adds precede the odd phase;
     - the distance part is one rows(S, S) block per cluster with the
       diagonal dropped before each row's sum: a kept zero can move the last
       bit of a pairwise sum.
     """
-    # only pair events precede the odd phase, each adding u, then v
-    order = [v for e in st.events for v in e.elements]
-    marg = np.zeros(st.n)
-    marg[order] = qual.prefix_marginals(st.inst.quality, order)
     out = []
     for j in range(st.m):
         if len(st.sel[j]) <= st.budgets[j]:
@@ -369,7 +365,7 @@ def _removal_measures(st: _State) -> list:
         S = np.asarray(sorted(st.sel[j]), dtype=int)
         peers = ~np.eye(S.size, dtype=bool)
         dsums = st.oracle.rows(S, S)[peers].reshape(S.size, -1).sum(axis=1)
-        out.append((j, S, marg[S] + st.lam * dsums))
+        out.append((j, S, st.qstate.added[S] + st.lam * dsums))
     return out
 
 
@@ -474,7 +470,9 @@ def _lazy_round(propose, bound: bool):
     seq = count()
 
     def round_(st, open_):
-        # each cluster's current version: under coverage quality the round
+        # each cluster's current version: under coverage quality every add
+        # moves marginals, so it is the round, len(st.events); otherwise
+        # empty_cells(), which falls exactly when j's free members change
         if st.qstate.q.kind == "coverage":
             now = [len(st.events)] * st.m
         else:

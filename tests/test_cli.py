@@ -139,6 +139,8 @@ BAD_OPTIONS = [
     ("overlap", ["gen", "--overlap", "9", "-o", "out.json"]),
     ("overlap", ["gen", "--overlap", "0", "-o", "out.json"]),
     ("spread", ["gen", "--family", "prototype", "--spread", "-1", "-o", "out.json"]),
+    ("D", ["gen", "--family", "fig1", "--D", "nan", "-o", "out.json"]),
+    ("D", ["gen", "--family", "fig1", "--D", "inf", "-o", "out.json"]),
     ("eps", ["gen", "--family", "tight", "--eps", "nan", "-o", "out.json"]),
     ("eps", ["gen", "--family", "tight", "--eps", "-1", "-o", "out.json"]),
     ("budgets", ["gen", "--budgets", "x", "-o", "out.json"]),
@@ -206,6 +208,17 @@ def test_gen_tight_reference_solutions(tmp_path):
     opt = load_solution(str(tmp_path / "opt.json"))
     assert sum(adv.fills()) == sum(opt.fills()) > 0
     assert main(["validate", "--instance", str(tmp_path / "tight.json")]) == 0
+
+
+def test_gen_structural_tight_is_a_schema_error(tmp_path, capsys):
+    # q = 32 gives n = 4160, too large to densify, so the matrix stays structural
+    rc = main(["gen", "--family", "tight", "--q", "32", "-o", str(tmp_path / "tight.json"),
+               "--adv-out", str(tmp_path / "adv.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: structural distance matrices")
+    assert not list(tmp_path.iterdir())
 
 
 def test_experiment_csv(tmp_path, capsys):

@@ -73,6 +73,13 @@ def test_fig1_structure():
     assert inst.features[6][0] == pytest.approx(30.0)
 
 
+@pytest.mark.parametrize("D", [float("nan"), float("inf"), -float("inf")])
+def test_fig1_rejects_non_finite_D(D):
+    for build in (gen_fig1, generate):
+        with pytest.raises(ValueError, match="D must be finite"):
+            build(GenSpec(family="fig1", D=D))
+
+
 def test_tight_small_closed_forms():
     for q in (2, 3):
         inst, adv, opt = gen_tight(GenSpec(family="tight", q=q, eps=1e-6))

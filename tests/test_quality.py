@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divmax import QualityFunction, value, marginal, marginal_pair
-from divmax.quality import QualityState, _entries, incidence, prefix_marginals
+from divmax.quality import QualityState, _entries, incidence
 
 K1 = frozenset({"s1", "s2"})
 K2 = frozenset({"s2", "s3"})
@@ -104,15 +104,19 @@ def test_cover_incidence_built_on_first_state_and_shared():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_marginals_equal_marginal_over_each_prefix(seed):
+    # QualityState.added[v] keeps v's marginal over the elements added before it
     rng = np.random.default_rng([31, seed])
     n = int(rng.integers(5, 40))
     covers = mixed_covers(rng, n, int(rng.integers(3, 2 * n)))
     order = rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist()
     for q in (QualityFunction.zero(), QualityFunction.modular(rng.random(n)),
               QualityFunction.coverage(covers)):
-        got = prefix_marginals(q, order)
-        assert got.dtype == float and got.shape == (len(order),)
-        assert got.tolist() == [marginal(q, order[:p], v) for p, v in enumerate(order)]
+        st = QualityState(q, n)
+        for v in order:
+            st.add(v)
+        assert st.added.dtype == float
+        assert st.added[order].tolist() == [marginal(q, order[:p], v)
+                                            for p, v in enumerate(order)]
 
 
 def test_entries_reads_one_row_as_the_batch_gather_does():
@@ -172,49 +176,60 @@ def test_state_marginal_pair_matches_plain_function():
             st.marginal_pair(2, np.array([3, 2]))
 
 
+def exact_or_close(q, want):
+    """want under coverage, whose values are integers; else pytest.approx(want),
+    since a state's modular value sums its weights in another order."""
+    return want if q.kind == "coverage" else pytest.approx(want)
+
+
 def test_state_queries_follow_interleaved_adds_and_removes():
     rng = np.random.default_rng(23)
     n = 10
     base = mixed_covers(rng, n, 8)  # int and string items; element 9 covers nothing
+    weights = np.random.default_rng(29).random(n)
     for covers in (base, [c | {"all"} for c in base]):  # then one item every element holds
-        q = QualityFunction.coverage(covers)
-        st = QualityState(q, n)
-        sel = []
         # add, remove and re-add 3; remove 9 before it was ever added; then random steps
         steps = [("add", 3), ("remove", 3), ("add", 3), ("remove", 9)]
         steps += [(("add", "remove")[int(rng.integers(0, 2))], int(rng.integers(0, n)))
                   for _ in range(30)]
-        for op, v in steps:
-            if op == "add":
-                st.add(v)
-                sel = sel if v in sel else sel + [v]
-            else:
-                st.remove(v)
-                sel = [u for u in sel if u != v]
-            assert st.value() == value(q, sel)
-            margs = [marginal(q, sel, v) for v in range(n)]
-            assert [st.marginal(v) for v in range(n)] == margs
-            assert st.marginal_vec(np.arange(n)).tolist() == margs
-            assert not st._gain[sel].any()
-            pair = [[marginal_pair(q, sel, u, v) if u != v else None for v in range(n)]
-                    for u in range(n)]
-            for u in range(n):
-                vs = np.array([v for v in range(n) if v != u])
-                assert st.marginal_pair(u, vs).tolist() == [pair[u][v] for v in vs]
-            for ids in (np.arange(n), rng.permutation(n)[:6]):
-                block = st.marginal_pairs(ids, ids)
-                for a, u in enumerate(ids):
-                    for b, v in enumerate(ids):
-                        if u != v:
-                            assert block[a, b] == pair[u][v]
-            if sel:
-                outs = np.array(sorted(sel))
-                inns = np.array([v for v in range(n) if v not in sel])
-                D = st.swap_delta(outs, inns)
-                for a, out in enumerate(outs.tolist()):
-                    rest = [v for v in sel if v != out]
-                    for i, inn in enumerate(inns.tolist()):
-                        assert D[a, i] == value(q, rest + [inn]) - value(q, sel)
+        # the same steps under coverage and under both additive kinds
+        for q in (QualityFunction.coverage(covers), QualityFunction.zero(),
+                  QualityFunction.modular(weights)):
+            st = QualityState(q, n)
+            sel = []
+            for op, v in steps:
+                if op == "add":
+                    st.add(v)
+                    sel = sel if v in sel else sel + [v]
+                else:
+                    st.remove(v)
+                    sel = [u for u in sel if u != v]
+                assert st.value() == exact_or_close(q, value(q, sel))
+                margs = [marginal(q, sel, v) for v in range(n)]
+                assert [st.marginal(v) for v in range(n)] == margs
+                assert st.marginal_vec(np.arange(n)).tolist() == margs
+                assert not st._gain[sel].any()
+                pair = [[marginal_pair(q, sel, u, v) if u != v else None for v in range(n)]
+                        for u in range(n)]
+                for u in range(n):
+                    vs = np.array([v for v in range(n) if v != u])
+                    assert st.marginal_pair(u, vs).tolist() == [pair[u][v] for v in vs]
+                for ids in (np.arange(n), rng.permutation(n)[:6]):
+                    block = st.marginal_pairs(ids, ids)
+                    for a, u in enumerate(ids):
+                        for b, v in enumerate(ids):
+                            if u != v:
+                                assert block[a, b] == pair[u][v]
+                if sel:
+                    outs = np.array(sorted(sel))
+                    inns = np.array([v for v in range(n) if v not in sel])
+                    D = st.swap_delta(outs, inns)
+                    for a, out in enumerate(outs.tolist()):
+                        rest = [v for v in sel if v != out]
+                        for i, inn in enumerate(inns.tolist()):
+                            want = value(q, rest + [inn]) - value(q, sel)
+                            assert D[a, i] == exact_or_close(q, want)
+                            assert D[a, i] == marginal(q, rest, inn) - marginal(q, rest, out)
 
 
 def test_marginal_pairs_take_repeated_anchors():
