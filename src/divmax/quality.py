@@ -196,6 +196,12 @@ class QualityState:
     marginal_pair is its one-row form. gp's square blocks come from
     kept_pairs(key, ids), which under coverage keeps each key's block of
     shared uncovered items across calls instead of calling _shared.
+
+    Local search scores its swaps with swap_delta(outs, rows, inns), one
+    entry per (outs[rows[p]], inns[p]) pair of its scan. Under coverage it
+    finds the pair of each holder of an item that only its out covers by
+    searchsorted on the sorted key row * n + inn, so it costs in the pairs
+    and those holders, never in |outs| x n.
     """
 
     def __init__(self, q: QualityFunction, n: int):
@@ -254,14 +260,14 @@ class QualityState:
         """Vector of marginal gains for a batch of candidate elements."""
         return self._gain[ids]
 
-    def _shared(self, us: np.ndarray, vs: np.ndarray, level: int) -> np.ndarray:
-        """[a, b]: items of us[a] that exactly level selected elements cover and vs[b] covers.
+    def _shared(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """[a, b]: uncovered items that us[a] and vs[b] both cover.
 
         vs's ids must be distinct, since their positions share one buffer;
         us may repeat an id.
         """
         a, items = _entries(self._inc, us)
-        keep = self._count[items] == level
+        keep = self._count[items] == 0
         k, holders = _entries(self._hold, items[keep])
         self._pos[vs] = np.arange(vs.size)
         b = self._pos[holders]
@@ -272,23 +278,31 @@ class QualityState:
             flat += a[keep][k][hit] * vs.size
         return np.bincount(flat, minlength=us.size * vs.size).reshape(us.size, vs.size)
 
-    def swap_delta(self, outs: np.ndarray, inns: np.ndarray) -> np.ndarray:
-        """Matrix of value changes for swapping a selected out for an unselected inn.
+    def swap_delta(self, outs: np.ndarray, rows: np.ndarray, inns: np.ndarray) -> np.ndarray:
+        """Value changes of swaps, one per pair p: out outs[rows[p]], in inns[p].
 
-        Entry [a, i] equals value(sel - {outs[a]} + {inns[i]}) - value(sel).
-        Entries whose inns[i] is already selected carry no meaning; callers
-        mask them out.
+        Entry p equals value(sel - {outs[rows[p]]} + {inns[p]}) - value(sel),
+        for selected outs. The pairs must be sorted by (rows, inns), none
+        repeated, as local search lists them. Entries whose inns[p] is
+        already selected carry no meaning; callers mask them out.
         """
-        outs = np.asarray(outs, dtype=int)
-        inns = np.asarray(inns, dtype=int)
-        g = self._gain[inns][None, :]
+        g = self._gain[inns]
         if self.q.kind != "coverage":
-            return g - self.added[outs][:, None]  # an additive out loses its weight
+            return g - self.added[outs][rows]  # an additive out loses its weight
         # outs[a] alone covers the items it would leave uncovered (lost);
-        # inns[i] wins its uncovered items back plus those of lost it covers
+        # inns[p] wins its uncovered items back plus those of lost it holds
         pos, items = _entries(self._inc, outs)
-        lost = np.bincount(pos[self._count[items] == 1], minlength=outs.size)
-        return g + self._shared(outs, inns, 1) - lost[:, None]
+        once = self._count[items] == 1
+        lost = np.bincount(pos[once], minlength=outs.size)
+        k, holders = _entries(self._hold, items[once])
+        # each (row, holder) finds its pair by the sorted key row * n + inn,
+        # past whose end a sentinel stands
+        n = self.in_sel.size
+        key = np.append(rows * n + inns, np.iinfo(np.int64).max)
+        want = pos[once][k] * n + holders
+        at = np.searchsorted(key, want)
+        shared = np.bincount(at[key[at] == want], minlength=inns.size)
+        return g + shared - lost[rows]
 
     def marginal_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Joint marginal gains of adding us[a] together with vs[b], at [a, b].
@@ -299,7 +313,7 @@ class QualityState:
         """
         pairs = self._gain[us][:, None] + self._gain[vs]
         if self.q.kind == "coverage":
-            pairs -= self._shared(us, vs, 0)
+            pairs -= self._shared(us, vs)
         return pairs
 
     def kept_pairs(self, key, ids: np.ndarray) -> np.ndarray:

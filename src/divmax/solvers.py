@@ -728,7 +728,9 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
     st = _State(instance, "gelms")
 
     def pick(j, ids, free):
-        gains = st.qstate.marginal_vec(ids) + st.lam * st.sums(j)[free]
+        # zero quality gathers no marginals; adding 0.0 keeps the sum's signed zero
+        gains = st.lam * st.sums(j)[free]
+        gains += st.qstate.marginal_vec(ids) if st.qmode else 0.0
         k = gains.argmax()
         return int(ids[k]), float(gains[k])
     return _fill(st, cfg, lambda: range(st.m), pick)
@@ -736,7 +738,10 @@ def solve_gelms(instance: Instance, config: SolverConfig | None = None) -> tuple
 
 def _best_single(st: _State, j: int) -> tuple:
     """mc's proposal for cluster j: its free member of largest quality
-    marginal, first of equals, as (gain, j, v)."""
+    marginal, first of equals, as (gain, j, v). Under zero quality every
+    marginal is 0.0, so that is its first free member, found with no gather."""
+    if not st.qmode:
+        return 0.0, j, int(st.members[j][st.free_mask(j).argmax()])
     ids = st.free_members(j)
     margs = st.qstate.marginal_vec(ids)
     k = int(margs.argmax())
@@ -785,6 +790,17 @@ def solve_rn(instance: Instance, config: SolverConfig | None = None) -> tuple:
 
 def _local_search(instance: Instance, config: SolverConfig | None,
                   init: Solution | None, use_combined: bool) -> tuple:
+    """lsi (use_combined) or lsg: one batched scan of every cluster's swaps per move.
+
+    A scan scores every (j, out, inn) swap as one flat array of pairs,
+    cluster by cluster, then by out, then by inn, and its first maximum is
+    the move, taken while it passes the epsilon test. Per scan lsi reads
+    rows(S_j, members[j]) for each cluster j with a selection, and lsg one
+    rows(U, M), M those clusters' members concatenated: sum_j |ref_j| *
+    |members[j]| distances, ref_j = S_j or U. Besides that block a scan
+    holds a few arrays of one entry per pair, sum_j |S_j| * |members[j]|
+    each. A cluster with an empty S_j has no pair, so it never swaps.
+    """
     algorithm = Algorithm.LSI if use_combined else Algorithm.LSG
     cfg = check_config(config or SolverConfig(algorithm=algorithm))
     if init is None:
@@ -796,7 +812,7 @@ def _local_search(instance: Instance, config: SolverConfig | None,
     # lsg climbs the union's global dispersion and ignores quality.
     st = _State(instance, algorithm.value, None if use_combined else qual.QualityFunction.zero(),
                 start=init.selected)
-    oracle, cells = st.oracle, st.cells
+    oracle, cells, n = st.oracle, st.cells, st.n
     scale = st.lam if use_combined else 1.0
     # evaluated once; each applied swap adds its gain
     f_cur = (objective.combined_objective(instance, init).combined if use_combined
@@ -804,39 +820,60 @@ def _local_search(instance: Instance, config: SolverConfig | None,
     cap = cfg.max_ls_iters
     if cap is None:
         cap = 10 * st.n * (int(st.budgets.max()) if st.m else 0)
+    # A swap keeps every |S_j|, so the layout is fixed for the solve: the
+    # clusters js with a selection; their members concatenated in M, whose
+    # slots are keyed j * n + member (sorted); one out row per element of
+    # each S_j, in sorted order at each scan; and one pair per (out row,
+    # slot of its cluster), whose inn is the slot's member.
+    js = [j for j in range(st.m) if st.sel[j]]
+    if not js:
+        return st.finish()
+    mems = [st.members[j] for j in js]
+    M = np.concatenate(mems)
+    sizes = np.array([ids.size for ids in mems])
+    base = np.array(js) * n
+    key = np.repeat(base, sizes) + M
+    nout = np.array([len(st.sel[j]) for j in js])
+    ends = nout.cumsum().tolist()
+    of_row = np.repeat(np.arange(len(js)), nout)  # position in js of each out row
+    row_key = base[of_row]
+    width = sizes[of_row]
+    row = np.repeat(np.arange(of_row.size), width)  # out row of each pair
+    # pair p of row a takes slot p - (a's first pair) + (a's cluster's first slot)
+    slot = np.arange(row.size) + np.repeat((sizes.cumsum() - sizes)[of_row]
+                                            - (width.cumsum() - width), width)
+    inns = M[slot]
+    inn_cells = cells[inns]
     while len(st.events) < cap:
-        union = np.flatnonzero(st.qstate.in_sel)
-        cands = []
-        for j in range(st.m):
-            if not st.sel[j]:
-                continue
-            outs = np.asarray(sorted(st.sel[j]), dtype=int)
-            mem = st.members[j]
-            # Distance sums to the cluster's members from S_j (lsi) or U (lsg):
-            # swapping out for inn changes the objective's distance part by
-            # (t[inn] - d(out, inn)) - t[out].
-            ref = outs if use_combined else union
-            R = oracle.rows(ref, mem)
+        outs = np.array([v for j in js for v in sorted(st.sel[j])])
+        out_slot = np.searchsorted(key, row_key + outs)
+        # Distance sums t to every member slot from S_j (lsi) or U (lsg):
+        # swapping out for inn changes the objective's distance part by
+        # (t[inn] - d(out, inn)) - t[out]. lsi reads rows(S_j, mem_j) per
+        # cluster, whose row-major blocks are the pair order; bincount sums
+        # each slot over its rows in order from 0.0, as a column sum does.
+        if use_combined:
+            d = np.concatenate([oracle.rows(outs[a:b], mem).ravel()
+                                for a, b, mem in zip([0] + ends, ends, mems)])
+            t = np.bincount(slot, weights=d, minlength=M.size)
+        else:
+            union = np.flatnonzero(st.qstate.in_sel)
+            R = oracle.rows(union, M)
             t = R.sum(axis=0)
-            d_out = R[np.searchsorted(ref, outs)]
-            t_out = t[np.searchsorted(mem, outs)]
-            gains = (scale * ((t[None, :] - d_out) - t_out[:, None])
-                     + st.qstate.swap_delta(outs, mem))
-            # inn's cell must be empty once out leaves; inn == out is no move
-            mem_cells = cells[mem]
-            load = (st.load[mem_cells][None, :]
-                    - (mem_cells[None, :] == cells[outs][:, None]))
-            gains[(load > 0) | (mem[None, :] == outs[:, None])] = -np.inf
-            # row-major first maximum: smallest out, then smallest inn
-            a, i = divmod(int(np.argmax(gains)), mem.size)
-            gain = float(gains[a, i])
-            if gain > cfg.epsilon * f_cur:
-                cands.append((gain, j, int(outs[a]), int(mem[i])))
-        if not cands:
+            d = R[np.searchsorted(union, outs)[row], slot]
+        gains = (scale * ((t[slot] - d) - t[out_slot][row])
+                 + st.qstate.swap_delta(outs, row, inns))
+        # inn's cell must be empty once out leaves; inn == out is no move
+        out_of = outs[row]
+        load = st.load[inn_cells] - (inn_cells == cells[out_of])
+        gains[(load > 0) | (inns == out_of)] = -np.inf
+        # the first maximum: smallest cluster, then smallest out, then smallest inn
+        p = int(np.argmax(gains))
+        gain = float(gains[p])
+        if not gain > cfg.epsilon * f_cur:
             break
-        delta, j, out, inn = _pick(cands)
-        st.swap(j, out, inn, delta)
-        f_cur += delta
+        st.swap(js[of_row[row[p]]], int(out_of[p]), int(inns[p]), gain)
+        f_cur += gain
     return st.finish()
 
 
@@ -850,7 +887,9 @@ def solve_lsi(instance: Instance, config: SolverConfig | None = None,
     by smaller cluster id, then smaller outgoing id, then smaller incoming
     id, while its gain exceeds epsilon times the current objective (the
     start's objective plus the gains taken), up to max_ls_iters swaps
-    (default 10 * n * max budget). Returns (Solution, SolveTrace); the trace
+    (default 10 * n * max budget). Each move scores every cluster's swaps
+    in one scan, which reads the distances from each S_j to its cluster's
+    members; see _local_search. Returns (Solution, SolveTrace); the trace
     stores the start and one swap event per move, whose gain is the change
     of the combined objective up to rounding.
     """
@@ -863,8 +902,9 @@ def solve_lsg(instance: Instance, config: SolverConfig | None = None,
 
     Same start, swap moves, tie-breaking, epsilon rule and swap cap as
     solve_lsi, but the objective is the once-counted dispersion over all
-    pairs of the union, cross-cluster pairs included. Returns (Solution,
-    SolveTrace).
+    pairs of the union, cross-cluster pairs included. Each move reads the
+    distances from the union to the members of every cluster with a
+    selection, in one block. Returns (Solution, SolveTrace).
     """
     return _local_search(instance, config, init, use_combined=False)
 

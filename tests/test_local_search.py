@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from divmax import (Algorithm, Cluster, GenSpec, Instance, QualityFunction, Solution,
-                    SolverConfig, combined_objective, gen_random, global_dispersion,
-                    solve_lsg, solve_lsi)
-from divmax import objective, quality as qual
+from divmax import (Algorithm, Cluster, DistanceOracle, GenSpec, Instance, QualityFunction,
+                    Solution, SolverConfig, combined_objective, gen_random, global_dispersion,
+                    solve_lsg, solve_lsi, solve_rn)
+from divmax import objective, quality as qual, solvers
 
 
 def _covered(n, seed, universe=200, size=8):
@@ -82,10 +82,10 @@ def _small_instance(seed, quality, cells):
     return dataclasses.replace(base, quality=q, partition=partition, lam=0.5)
 
 
-def _check_against_reference(inst, algorithm, cfg):
+def _check_against_reference(inst, algorithm, cfg, init=None):
     """Every swap is the reference's, and the run stops where the reference does."""
     solver = solve_lsi if algorithm == "lsi" else solve_lsg
-    sol, trace = solver(inst, cfg)
+    sol, trace = solver(inst, cfg, init=init)
     sets = [set(S) for S in trace.init]
     for e in trace.events:
         ref = _reference_swap(inst, sets, algorithm, cfg.epsilon)
@@ -159,3 +159,74 @@ def test_objective_is_evaluated_once_for_the_start(monkeypatch, algorithm):
             if algorithm == "lsi" else
             {"intra_dispersion": 0, "cluster_dispersion": 1, "value": 0})
     assert calls == want
+
+
+def _start_without(inst, seed, empty):
+    """The seeded rn start with the selections of the clusters in empty dropped."""
+    start, _ = solve_rn(inst, SolverConfig(algorithm=Algorithm.RN, seed=seed))
+    return Solution.from_sets([set() if j in empty else set(S)
+                               for j, S in enumerate(start.selected)])
+
+
+@pytest.mark.parametrize("algorithm", ["lsi", "lsg"])
+def test_empty_selections_propose_no_swap(algorithm):
+    base = gen_random(GenSpec(family="random", n=40, m=3, budgets=3, overlap=2, seed=4))
+    inst = dataclasses.replace(base, quality=_covered(40, 4, universe=60, size=4))
+    solver = solve_lsi if algorithm == "lsi" else solve_lsg
+    cfg = SolverConfig(algorithm=Algorithm(algorithm), seed=4)
+    # every S_j empty: all budgets 0 (so the rn start is empty), or an all-empty init
+    no_budget = dataclasses.replace(
+        inst, clusters=[dataclasses.replace(c, budget=0) for c in inst.clusters])
+    for run in (solver(no_budget, cfg), solver(inst, cfg, init=_start_without(inst, 4, {0, 1, 2}))):
+        sol, trace = run
+        assert trace.events == [] and sol.selected == ((), (), ())
+    # one empty S_j: that cluster never swaps, and the others still follow the reference
+    init = _start_without(inst, 4, {1})
+    _, trace = solver(inst, cfg, init=init)
+    assert trace.events and all(e.cluster != 1 for e in trace.events)
+    _check_against_reference(inst, algorithm, cfg, init=init)
+
+
+@pytest.mark.parametrize("algorithm", ["lsi", "lsg"])
+@pytest.mark.parametrize("cached", [True, False])
+def test_each_move_reads_only_its_clusters_blocks(monkeypatch, algorithm, cached):
+    # A scan reads at most sum_j |ref_j| * |mem_j| distances over the clusters
+    # with a selection (ref_j = S_j for lsi, the union U for lsg), so reading
+    # rows(U, M) in lsi, or an empty cluster's members, fails here.
+    base = gen_random(GenSpec(family="random", n=80, m=4, budgets=4, overlap=2, seed=6))
+    inst = dataclasses.replace(base, quality=_covered(80, 6))
+    if not cached:
+        inst._oracle = DistanceOracle("euclidean", features=inst.features, cache_limit=0)
+    oracle = inst.oracle()
+    assert (oracle._cache is not None) == cached
+    init = _start_without(inst, 6, {2})
+    sets = [set(S) for S in init.selected]
+    reads = [0]  # entries read by each scan; a swap starts the next scan
+    real_rows, real_swap = oracle.rows, solvers._State.swap
+
+    def rows(us, ids):
+        out = real_rows(us, ids)
+        reads[-1] += out.size
+        return out
+
+    def swap(st, j, out, inn, gain):
+        real_swap(st, j, out, inn, gain)
+        reads.append(0)
+
+    def evaluation(real):
+        def wrapper(*args):
+            value = real(*args)
+            reads[-1] = 0  # the start's evaluation reads before the first scan
+            return value
+        return wrapper
+    monkeypatch.setattr(oracle, "rows", rows)
+    monkeypatch.setattr(solvers._State, "swap", swap)
+    for name in ("combined_objective", "global_dispersion"):
+        monkeypatch.setattr(objective, name, evaluation(getattr(objective, name)))
+    solver = solve_lsi if algorithm == "lsi" else solve_lsg
+    _, trace = solver(inst, SolverConfig(algorithm=Algorithm(algorithm), seed=6), init=init)
+    assert len(trace.events) >= 3 and len(reads) == len(trace.events) + 1
+    union = sum(len(S) for S in sets)
+    bound = sum((len(S) if algorithm == "lsi" else union) * len(c.members)
+                for S, c in zip(sets, inst.clusters) if S)
+    assert 0 < max(reads) <= bound

@@ -176,6 +176,12 @@ def test_state_marginal_pair_matches_plain_function():
             st.marginal_pair(2, np.array([3, 2]))
 
 
+def swap_pairs(nrows, inns_per_row):
+    """(rows, inns) of swap_delta's pair form: row a paired with each of its inns."""
+    rows = np.repeat(np.arange(nrows), [len(inns) for inns in inns_per_row])
+    return rows, np.concatenate([np.asarray(inns, dtype=int) for inns in inns_per_row])
+
+
 def exact_or_close(q, want):
     """want under coverage, whose values are integers; else pytest.approx(want),
     since a state's modular value sums its weights in another order."""
@@ -221,15 +227,18 @@ def test_state_queries_follow_interleaved_adds_and_removes():
                             if u != v:
                                 assert block[a, b] == pair[u][v]
                 if sel:
+                    # every (out, inn) pair, sorted by out row, then by inn
                     outs = np.array(sorted(sel))
                     inns = np.array([v for v in range(n) if v not in sel])
-                    D = st.swap_delta(outs, inns)
-                    for a, out in enumerate(outs.tolist()):
+                    rows, inn_of = swap_pairs(outs.size, [inns] * outs.size)
+                    D = st.swap_delta(outs, rows, inn_of)
+                    assert D.shape == (outs.size * inns.size,)
+                    for d, a, inn in zip(D.tolist(), rows.tolist(), inn_of.tolist()):
+                        out = int(outs[a])
                         rest = [v for v in sel if v != out]
-                        for i, inn in enumerate(inns.tolist()):
-                            want = value(q, rest + [inn]) - value(q, sel)
-                            assert D[a, i] == exact_or_close(q, want)
-                            assert D[a, i] == marginal(q, rest, inn) - marginal(q, rest, out)
+                        want = value(q, rest + [inn]) - value(q, sel)
+                        assert d == exact_or_close(q, want)
+                        assert d == marginal(q, rest, inn) - marginal(q, rest, out)
 
 
 def test_marginal_pairs_take_repeated_anchors():
@@ -274,17 +283,19 @@ def test_state_swap_delta_matches_value():
         sel = [0, 4, 5, 7]
         for v in sel:
             st.add(v)
-        inns = np.array([1, 2, 3, 6, 8, 9, 10, 11])
-        # sel[1:] leaves 0 out: s1 stays covered once by 0, and inn 2 covers it
-        for outs in (sel, sel[1:]):
-            D = st.swap_delta(np.array(outs), inns)
-            assert D.shape == (len(outs), 8)
-            for a, out in enumerate(outs):
-                rest = [v for v in sel if v != out]
-                for i, inn in enumerate(inns.tolist()):
-                    want = value(q, rest + [inn]) - value(q, sel)
-                    assert D[a, i] == pytest.approx(want)
-    assert st.swap_delta(np.array([0]), np.array([1]))[0, 0] == 0.0
+        inns = [1, 2, 3, 6, 8, 9, 10, 11]
+        # sel[1:] leaves 0 out: s1 stays covered once by 0, and inn 2 covers it;
+        # the last layout gives each out row its own inns, as clusters do
+        for outs, inns_per_row in ((sel, [inns] * 4), (sel[1:], [inns] * 3),
+                                   (sel, [inns[:3], inns[2:], [2], inns[::2]])):
+            rows, inn_of = swap_pairs(len(outs), inns_per_row)
+            D = st.swap_delta(np.array(outs), rows, inn_of)
+            assert D.shape == (rows.size,)
+            for d, a, inn in zip(D.tolist(), rows.tolist(), inn_of.tolist()):
+                rest = [v for v in sel if v != outs[a]]
+                want = value(q, rest + [inn]) - value(q, sel)
+                assert d == pytest.approx(want)
+    assert st.swap_delta(np.array([0]), np.array([0]), np.array([1]))[0] == 0.0
 
 
 def test_monotone_and_submodular_sampled():
